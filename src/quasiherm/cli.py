@@ -194,11 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--step", type=float, required=True)
     p_scan.set_defaults(func=cmd_scan)
 
-    p_compat = subs.add_parser("compat", help="search for a metric shared by two Hamiltonians")
+    p_compat = subs.add_parser("compat", help="decide whether two Hamiltonians share a metric")
     p_compat.add_argument("h1", help="MatrixFile holding the first Hamiltonian")
     p_compat.add_argument("h2", help="MatrixFile holding the second Hamiltonian")
     p_compat.add_argument("--seed", type=int, default=0,
-                          help="seed for the randomized positivity search (default 0)")
+                          help="accepted for compatibility; has no effect")
     _add_tol_flags(p_compat)
     p_compat.set_defaults(func=cmd_compat)
 
@@ -213,6 +213,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except np.linalg.LinAlgError as exc:
+        # A LAPACK failure is numerical, not malformed input, though
+        # LinAlgError subclasses ValueError.
+        print(f"LinAlgError: {exc}", file=sys.stderr)
+        return 5
     except (MatrixFileError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

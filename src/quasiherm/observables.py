@@ -1,9 +1,11 @@
 """Quasi-Hermitian observables and the shared-metric compatibility test.
 
 Every Hermitian generator M yields an observable A = Theta^{-1} M that is
-quasi-Hermitian with respect to Theta and therefore has real spectrum; the
-converse direction, deciding whether two Hamiltonians admit one common metric,
-reduces to a real-linear null-space computation plus a positivity search.
+quasi-Hermitian with respect to Theta and therefore has real spectrum.  The
+converse question, whether two Hamiltonians admit one common metric, is
+decided in the eigenbasis of a Hamiltonian with simple real spectrum: there
+every Hermitian solution is a real combination of the projectors onto its left
+kets, so positivity reduces to a sign test on a small real null space.
 """
 
 from __future__ import annotations
@@ -12,8 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyson import DysonMap, Metric, metric_from_theta
-from .errors import NotHermitianGenerator
+from .dyson import (
+    DysonMap,
+    Metric,
+    metric_from_theta,
+    quasi_hermiticity_residual,
+    solve_schrodinger_pair,
+)
+from .errors import ComplexSpectrum, DefectiveMatrix, NotHermitianGenerator, NotPositiveDefinite
 from .linalg import DEFAULT_TOL, Tolerances, as_square_matrix, fro, herm_part
 
 __all__ = [
@@ -25,6 +33,11 @@ __all__ = [
     "check_diagonal_center",
     "shared_metric",
 ]
+
+# Weight t of the combination H1 + t H2 tried as a base when neither Hamiltonian
+# has a simple spectrum; irrational, so no rational relation between the two
+# spectra makes the combination degenerate.
+_MIX = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -38,7 +51,7 @@ class ObservableCandidate:
 
 @dataclass(frozen=True)
 class SharedMetricResult:
-    """Outcome of the common-metric search for a pair of Hamiltonians.
+    """Outcome of the common-metric decision for a pair of Hamiltonians.
 
     status is "Found", "NoSharedMetric", or "Inconclusive".  theta is present
     exactly when status is "Found".  solution_space_dim counts the real
@@ -51,14 +64,9 @@ class SharedMetricResult:
     solution_space_dim: int
 
 
-def is_quasi_hermitian(a, metric) -> float:
-    """Residual of A† Theta = Theta A, normalized by ||A|| ||Theta||."""
-    am = as_square_matrix(a)
-    theta = metric.theta if isinstance(metric, Metric) else as_square_matrix(metric)
-    denom = fro(am) * fro(theta)
-    if denom == 0:
-        return 0.0
-    return fro(am.conj().T @ theta - theta @ am) / denom
+# Residual of A† Theta = Theta A, normalized by ||A|| ||Theta||: the same check
+# as the metric intertwining defect of a Hamiltonian.
+is_quasi_hermitian = quasi_hermiticity_residual
 
 
 def observable_from_M(metric: Metric, m, tol: Tolerances = DEFAULT_TOL) -> ObservableCandidate:
@@ -92,131 +100,121 @@ def check_diagonal_center(a, map_i: DysonMap, tol: Tolerances = DEFAULT_TOL) -> 
     return fro(off) <= tol.residual_rel * (fro(am) or 1.0)
 
 
-def _hermitian_basis(n: int) -> list[np.ndarray]:
-    # Orthonormal under Re tr(A† B): diagonal units, then symmetric and
-    # antisymmetric off-diagonal pairs scaled by 1/sqrt(2).
-    basis = []
-    for i in range(n):
-        b = np.zeros((n, n), dtype=np.complex128)
-        b[i, i] = 1.0
-        basis.append(b)
-    r = 1.0 / np.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            b = np.zeros((n, n), dtype=np.complex128)
-            b[i, j] = r
-            b[j, i] = r
-            basis.append(b)
-            b = np.zeros((n, n), dtype=np.complex128)
-            b[i, j] = 1j * r
-            b[j, i] = -1j * r
-            basis.append(b)
-    return basis
+def _simple_base(mats, tol: Tolerances) -> tuple[np.ndarray | None, bool]:
+    """(left kets of the base or None, whether none is simple and a spectrum was complex).
+
+    Of H1 and H2 the one with the larger smallest gap relative to its norm has
+    the better determined eigenprojectors; H1 + t H2 is tried if neither is simple.
+    """
+    a1, a2 = mats
+    best, best_gap, complex_seen = None, tol.reality_rel, False
+    for b in (a1, a2, None):
+        if b is None:
+            if best is not None:
+                break
+            b = a1 + _MIX * a2
+        try:
+            system = solve_schrodinger_pair(b, tol)
+        except DefectiveMatrix:
+            continue
+        except ComplexSpectrum:
+            complex_seen = True
+            continue
+        gaps = np.diff(system.energies) / (fro(b) or 1.0)
+        gap = gaps.min() if gaps.size else np.inf
+        if gap > best_gap:
+            best, best_gap = system.left_kets, gap
+    return best, complex_seen and best is None
 
 
-def _combine(basis, coeffs) -> np.ndarray:
-    out = np.zeros_like(basis[0])
-    for c, b in zip(coeffs, basis):
-        out = out + c * b
-    return herm_part(out)
+def _hermitian_units(n: int) -> np.ndarray:
+    """Stacked orthonormal basis of the n x n Hermitian matrices under Re tr(A† B).
+
+    Diagonal units first, then symmetric and antisymmetric off-diagonal pairs
+    scaled by 1/sqrt(2).
+    """
+    iu, ju = np.triu_indices(n, 1)
+    sym = n + np.arange(iu.size)
+    anti = sym + iu.size
+    r = np.sqrt(0.5)
+    units = np.zeros((n * n, n, n), dtype=np.complex128)
+    units[np.arange(n), np.arange(n), np.arange(n)] = 1.0
+    units[sym, iu, ju] = units[sym, ju, iu] = r
+    units[anti, iu, ju], units[anti, ju, iu] = 1j * r, -1j * r
+    return units
 
 
-def _definite_sign(candidate: np.ndarray, tol: Tolerances) -> int:
-    """+1 / -1 when the candidate is definite of that sign, 0 otherwise."""
-    scale = fro(candidate)
-    if scale == 0:
-        return 0
-    lam = np.linalg.eigvalsh(candidate)
-    gate = tol.positivity_rel * scale
-    if lam[0] > gate:
-        return 1
-    if lam[-1] < -gate:
-        return -1
-    return 0
+def _certify(candidate: np.ndarray, mats, tol: Tolerances) -> Metric | None:
+    """The candidate scaled to trace n, if it passes every metric check."""
+    trace = np.trace(candidate).real
+    if not trace > 0:
+        return None
+    theta = candidate * (candidate.shape[0] / trace)
+    if any(quasi_hermiticity_residual(a, theta) > tol.residual_rel for a in mats):
+        return None
+    try:
+        return metric_from_theta(theta, tol)
+    except NotPositiveDefinite:
+        return None
 
 
 def shared_metric(h1, h2, tol: Tolerances = DEFAULT_TOL, seed: int = 0) -> SharedMetricResult:
-    """Search for one metric Theta serving both h1 and h2.
+    """Decide whether one metric Theta serves both h1 and h2.
 
-    The constraints Theta = Theta†, h1† Theta = Theta h1, h2† Theta = Theta h2
-    are real-linear in Theta, so the Hermitian solution space is the null space
-    of a real matrix assembled over an orthonormal Hermitian basis (singular
-    values below 1e-10 times the largest count as zero).  Positivity is then
-    probed deterministically first, projecting the identity into the space and
-    scanning the signed null-space directions, and finally with 1000 random
-    unit combinations drawn from a generator seeded by ``seed``.
+    The base B is whichever of h1, h2 has a simple real spectrum (the better
+    separated one if both do), else h1 + t h2 for a fixed irrational t.  Every
+    Hermitian Theta with B† Theta = Theta B is sum_k e_k P_k over the
+    projectors P_k = l_k l_k† / |l_k|^2 onto the left kets of B, e real, and
+    the constraints of h1 and h2 are real-linear in e.  Their null space, from
+    a thin SVD with an absolute cutoff that keeps every e whose Theta passes
+    the ``tol.residual_rel`` residual checks, splits into blocks with disjoint
+    supports: a positive e exists exactly when the projection p of the
+    all-ones vector is entrywise positive.  Then the answer is Found with
+    Theta = sum_k p_k P_k, else NoSharedMetric.
 
-    NoSharedMetric is declared only when the solution space is empty or is
-    one-dimensional with an indefinite generator; a failed random search on a
-    higher-dimensional space returns Inconclusive.  A returned metric is
-    normalized to trace n and certified against both residual checks.
+    Without a simple base (degenerate or defective spectra) the null space is
+    taken over all Hermitian matrices.  A complex spectrum among the
+    candidates proves NoSharedMetric, since a shared metric serves every real
+    combination of h1 and h2.  Otherwise only the projection of the identity
+    is tried: an empty space or a line with an indefinite generator is
+    NoSharedMetric, any other failure Inconclusive.  A candidate failing its
+    certificate is Inconclusive too.  A returned metric has trace n and passes
+    both residual checks and the positivity check.
+
+    ``seed`` is accepted for compatibility and has no effect.
     """
     a1 = as_square_matrix(h1)
     a2 = as_square_matrix(h2)
     if a1.shape != a2.shape:
         raise ValueError("h1 and h2 must have the same dimension")
     n = a1.shape[0]
-    basis = _hermitian_basis(n)
-
-    columns = []
-    for b in basis:
-        parts = []
-        for h in (a1, a2):
-            c = h.conj().T @ b - b @ h
-            parts.append(c.real.ravel())
-            parts.append(c.imag.ravel())
-        columns.append(np.concatenate(parts))
-    constraint = np.column_stack(columns)
-
-    _u, svals, vt = np.linalg.svd(constraint)
-    if svals.size and svals[0] > 0:
-        rank = int(np.sum(svals > 1e-10 * svals[0]))
+    mats = (a1, a2)
+    left, proven = _simple_base(mats, tol)
+    if left is None:
+        basis, reach = _hermitian_units(n), 1.0
     else:
-        rank = 0
-    null_dim = len(basis) - rank
-    if null_dim == 0:
-        return SharedMetricResult(status="NoSharedMetric", theta=None, solution_space_dim=0)
-    null_vecs = vt[rank:].T  # orthonormal columns spanning the coefficient space
+        lhat = left / np.linalg.norm(left, axis=0)
+        basis, reach = np.einsum("ik,jk->kij", lhat, lhat.conj()), np.linalg.norm(lhat, 2)
 
-    def certify(candidate: np.ndarray) -> SharedMetricResult | None:
-        sign = _definite_sign(candidate, tol)
-        if sign == 0:
-            return None
-        theta = sign * candidate
-        theta = theta * (n / np.trace(theta).real)
-        if is_quasi_hermitian(a1, theta) > tol.residual_rel:
-            return None
-        if is_quasi_hermitian(a2, theta) > tol.residual_rel:
-            return None
-        return SharedMetricResult(
-            status="Found",
-            theta=metric_from_theta(theta, tol),
-            solution_space_dim=null_dim,
-        )
-
-    # Identity projection first: coefficients of I are 1 on the diagonal units.
-    coeff_eye = np.zeros(len(basis))
-    coeff_eye[:n] = 1.0
-    proj = null_vecs @ (null_vecs.T @ coeff_eye)
-    if np.linalg.norm(proj) > 1e-12:
-        found = certify(_combine(basis, proj))
-        if found is not None:
-            return found
-
-    for k in range(null_dim):
-        found = certify(_combine(basis, null_vecs[:, k]))
-        if found is not None:
-            return found
-
-    if null_dim == 1:
-        return SharedMetricResult(status="NoSharedMetric", theta=None, solution_space_dim=1)
-
-    rng = np.random.default_rng(seed)
-    for _ in range(1000):
-        x = rng.standard_normal(null_dim)
-        x /= np.linalg.norm(x)
-        found = certify(_combine(basis, null_vecs @ x))
-        if found is not None:
-            return found
-
-    return SharedMetricResult(status="Inconclusive", theta=None, solution_space_dim=null_dim)
+    # Real constraint matrix: one column per basis element B, the real and
+    # imaginary parts of A† B - B A stacked over both Hamiltonians.
+    parts = [(a.conj().T @ basis - basis @ a).reshape(len(basis), n * n).T for a in mats]
+    stacked = np.concatenate([r for c in parts for r in (c.real, c.imag)])
+    _u, svals, vt = np.linalg.svd(stacked, full_matrices=False)
+    # ||Theta(x)||_F <= reach * |x|, so a Theta that passes both residual
+    # checks has a coefficient vector x with |C x| below this cutoff.
+    cutoff = tol.residual_rel * np.hypot(fro(a1), fro(a2)) * reach
+    null = vt[int(np.sum(svals > cutoff)):].T
+    dim = null.shape[1]
+    # Projection of the basis traces: the all-ones vector for the projectors,
+    # the identity for the orthonormal units.
+    x = null @ (null.T @ np.trace(basis, axis1=1, axis2=2).real)
+    blocked = left is not None and not x.min() > tol.positivity_rel * np.abs(x).max()
+    if proven or dim == 0 or blocked:
+        return SharedMetricResult(status="NoSharedMetric", theta=None, solution_space_dim=dim)
+    theta = _certify(np.tensordot(x, basis, axes=1), mats, tol)
+    if theta is not None:
+        return SharedMetricResult(status="Found", theta=theta, solution_space_dim=dim)
+    # The identity projects onto a definite generator of a line.
+    status = "NoSharedMetric" if left is None and dim == 1 else "Inconclusive"
+    return SharedMetricResult(status=status, theta=None, solution_space_dim=dim)

@@ -223,6 +223,22 @@ class TestScanCommand:
         capsys.readouterr()
 
 
+class TestNumericalFailure:
+    def test_lapack_failure_exit(self, tmp_path, capsys, monkeypatch):
+        # LinAlgError subclasses ValueError but is a numerical failure (5),
+        # not malformed input (2).
+        def broken(*_args, **_kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr("quasiherm.cli.hermitize", broken)
+        path = write_h(tmp_path, "h.json", DIMER_H)
+        assert main(["hermitize", path]) == 5
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("LinAlgError: SVD did not converge")
+        assert "Traceback" not in err
+
+
 class TestCompatCommand:
     def test_found(self, tmp_path, capsys):
         p1 = write_h(tmp_path, "h1.json", DIMER_H)
