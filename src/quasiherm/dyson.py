@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     AvatarNotHermitian,
@@ -134,19 +133,19 @@ def build_omega_I(system: BiorthogonalSystem) -> DysonMap:
     return DysonMap(omega=omega, omega_inv=system.right_kets, family="I")
 
 
-def build_omega_K(base: DysonMap, k_diag) -> DysonMap:
+def build_omega_K(base: DysonMap, k_diag, tol: Tolerances = DEFAULT_TOL) -> DysonMap:
     """Rescale the reference map row-wise by the conjugated diagonal of K.
 
     The avatar is unchanged (K commutes with the diagonal avatar of Omega_I)
     while the metric picks up |k_n|^2 weights.  Raises SingularScaling when any
-    entry of K is smaller in magnitude than the positivity threshold.
+    entry of K is at or below ``tol.positivity_rel`` in magnitude.
     """
     if base.family != "I":
         raise ValueError("build_omega_K expects the reference family 'I' map")
     k = np.asarray(k_diag, dtype=np.complex128).ravel()
     if k.size != base.dimension:
         raise ValueError(f"k_diag has {k.size} entries for dimension {base.dimension}")
-    if np.any(np.abs(k) <= DEFAULT_TOL.positivity_rel):
+    if np.any(np.abs(k) <= tol.positivity_rel):
         raise SingularScaling("k_diag entries must be bounded away from zero")
     omega = k.conj()[:, None] * base.omega
     omega_inv = base.omega_inv / k.conj()[None, :]
@@ -244,19 +243,18 @@ def evolve_norm_check(h, metric, psi0, times, tol: Tolerances = DEFAULT_TOL) -> 
 
     Requires (H, Theta) to be a quasi-Hermitian pair within ``tol.residual_rel``,
     else NotQuasiHermitian is raised; under that condition the returned norms
-    are constant up to roundoff.  Propagation goes through the eigenbasis of H.
+    are constant up to roundoff.  Propagation goes through the eigenbasis of H,
+    so DefectiveMatrix is raised when that basis is too ill-conditioned.
     """
     a = as_square_matrix(h)
     theta = _theta_of(metric)
     if quasi_hermiticity_residual(a, theta) > tol.residual_rel:
         raise NotQuasiHermitian("H† Theta - Theta H residual exceeds tolerance")
-    w, v = scipy.linalg.eig(a)
-    coeff = np.linalg.solve(v, np.asarray(psi0, dtype=np.complex128).ravel())
-    out = np.empty(len(times), dtype=float)
-    for i, t in enumerate(times):
-        psi_t = v @ (np.exp(-1j * w * t) * coeff)
-        out[i] = float((psi_t.conj() @ theta @ psi_t).real)
-    return out
+    w, right, left = eig_general(a, tol)
+    coeff = left.conj().T @ np.asarray(psi0, dtype=np.complex128).ravel()
+    # One column of psi(t) per requested time.
+    psi_t = right @ (np.exp(-1j * np.outer(w, times)) * coeff[:, None])
+    return np.einsum("it,it->t", psi_t.conj(), theta @ psi_t).real
 
 
 def build_report(h, system, dyson_map, metric, avatar, tol: Tolerances) -> HermitizationReport:
@@ -294,7 +292,7 @@ def hermitize(h, k_diag=None, hermitian_map: bool = False, tol: Tolerances = DEF
     system = solve_schrodinger_pair(h, tol)
     dmap = build_omega_I(system)
     if k_diag is not None:
-        dmap = build_omega_K(dmap, k_diag)
+        dmap = build_omega_K(dmap, k_diag, tol)
     if hermitian_map:
         u, _omega_herm = hermitian_dyson(dmap, tol)
         dmap = build_omega_KU(dmap, u, tol)

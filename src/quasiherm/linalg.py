@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DefectiveMatrix, NotHermitian, NotPositiveDefinite, SingularInput
 
@@ -109,7 +108,7 @@ def eig_general(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarra
         ``tol.defective_cond``, which signals an exceptional point.
     """
     a = as_square_matrix(m)
-    w, v = scipy.linalg.eig(a)
+    w, v = np.linalg.eig(a)
     order = np.lexsort((w.imag, w.real))
     w = w[order]
     v = _normalize_columns(v[:, order])

@@ -8,6 +8,7 @@ digits, so identical inputs always produce identical bytes.
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -100,6 +101,15 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _emit_float_pairs(pairs: list, pad: str) -> str:
+    # The generic path's bytes for a list of [float, float] pairs (dump_matrix
+    # data), with every leaf formatted in one pass.
+    leaves = map(format, chain.from_iterable(pairs), repeat(".17g"))
+    text = ["-0.0" if t == "-0" else t for t in leaves]
+    items = map("[{}, {}]".format, text[::2], text[1::2])
+    return "[\n" + pad + "  " + (",\n" + pad + "  ").join(items) + "\n" + pad + "]"
+
+
 def _emit(value, indent: int) -> str:
     pad = "  " * indent
     if isinstance(value, dict):
@@ -112,6 +122,9 @@ def _emit(value, indent: int) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
+        if all(type(v) is list and len(v) == 2 and type(v[0]) is float and type(v[1]) is float
+               for v in value):
+            return _emit_float_pairs(value, pad)
         if all(not isinstance(v, (dict, list, tuple)) for v in value):
             return "[" + ", ".join(_emit(v, indent) for v in value) + "]"
         items = [f"{pad}  {_emit(v, indent + 1)}" for v in value]

@@ -158,29 +158,19 @@ def ep_scan(kappa: float, gamma_grid, tol: Tolerances = DEFAULT_TOL) -> EPScanRe
     if np.any(np.diff(grid) < 0):
         raise ValueError("gamma_grid must be sorted ascending")
 
-    gaps = np.empty(grid.size)
-    conds = np.empty(grid.size)
-    for i, g in enumerate(grid):
-        hmat = kappa * SIGMA_X + 1j * g * SIGMA_Z
-        w, v = np.linalg.eig(hmat)
-        gaps[i] = abs(w[0] - w[1])
-        conds[i] = np.linalg.cond(v)
+    hmats = kappa * SIGMA_X + 1j * grid[:, None, None] * SIGMA_Z
+    w, v = np.linalg.eig(hmats)
+    d = w[:, 0] - w[:, 1]
+    # hypot matches the scalar abs() of each gap bit for bit; np.abs can differ by 1 ulp.
+    gaps = np.hypot(d.real, d.imag)
+    conds = np.linalg.cond(v)
 
     scale = np.sqrt(2.0 * kappa**2 + 2.0 * grid**2)
     flags = (gaps < 1e-6 * scale) & (conds > tol.defective_cond)
 
-    locations = []
-    i = 0
-    while i < grid.size:
-        if flags[i]:
-            j = i
-            while j + 1 < grid.size and flags[j + 1]:
-                j += 1
-            run = slice(i, j + 1)
-            locations.append(grid[run][np.argmin(gaps[run])])
-            i = j + 1
-        else:
-            i += 1
+    # Flagged runs start where the padded flags rise and stop where they fall.
+    edges = np.flatnonzero(np.diff(np.r_[False, flags, False]))
+    locations = [grid[i:j][np.argmin(gaps[i:j])] for i, j in zip(edges[::2], edges[1::2])]
 
     return EPScanReport(
         parameter_grid=grid,

@@ -70,6 +70,28 @@ class TestMatrixFiles:
         assert parsed["rows"] == 2
         assert parsed["data"][0] == [0.0, 0.75]
 
+    def test_matrix_data_bytes(self):
+        m = np.array([
+            [complex(-0.0, 0.0), complex(1.0 / 3.0, -0.0)],
+            [complex(1e-300, 5e-324), complex(0.0, -1.0 / 3.0)],
+        ])
+        assert emit_json(dump_matrix(m)) == (
+            '{\n  "rows": 2,\n  "cols": 2,\n  "data": [\n'
+            "    [-0.0, 0],\n"
+            "    [0.33333333333333331, -0.0],\n"
+            "    [1e-300, 4.9406564584124654e-324],\n"
+            "    [0, -0.33333333333333331]\n"
+            "  ]\n}"
+        )
+
+    @pytest.mark.parametrize("data,rendered", [
+        ([[1, 2], [3, 4]], "[\n    [1, 2],\n    [3, 4]\n  ]"),
+        ([[True, False]], "[\n    [true, false]\n  ]"),
+        ([[1.5, 2]], "[\n    [1.5, 2]\n  ]"),
+    ])
+    def test_non_float_pairs_render_generically(self, data, rendered):
+        assert emit_json({"data": data}) == '{\n  "data": ' + rendered + "\n}"
+
 
 class TestHermitizeCommand:
     def test_dimer_passes(self, tmp_path, capsys):
@@ -237,6 +259,23 @@ class TestNumericalFailure:
         assert err.count("\n") == 1
         assert err.startswith("LinAlgError: SVD did not converge")
         assert "Traceback" not in err
+
+
+class TestImports:
+    def test_commands_do_not_import_scipy(self, tmp_path):
+        path = write_h(tmp_path, "h.json", DIMER_H)
+        code = (
+            "import contextlib, io, sys\n"
+            "from quasiherm.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main(['hermitize', {path!r}]) == 0\n"
+            "    assert main(['scan', '--kappa', '1', '--gamma-min', '0',"
+            " '--gamma-max', '2', '--step', '0.25']) == 0\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestCompatCommand:

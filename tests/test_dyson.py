@@ -6,11 +6,13 @@ from helpers import dimer_hamiltonian, random_k_diag, random_real_spectrum, rand
 from quasiherm import (
     AvatarNotHermitian,
     ComplexSpectrum,
+    DefectiveMatrix,
     DysonMap,
     NotPositiveDefinite,
     NotQuasiHermitian,
     NotUnitary,
     SingularScaling,
+    Tolerances,
     build_omega_I,
     build_omega_K,
     build_omega_KU,
@@ -24,7 +26,7 @@ from quasiherm import (
     quasi_hermiticity_residual,
     solve_schrodinger_pair,
 )
-from quasiherm.models import FermionicParams, fermionic_build
+from quasiherm.models import FermionicParams, dimer_build, dimer_from_coupling, fermionic_build
 
 LOG2 = np.log(2.0)
 DIMER_H = dimer_hamiltonian(1.25, 0.75)
@@ -116,6 +118,14 @@ class TestOmegaFamilies:
             build_omega_K(dmap, [1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             build_omega_K(build_omega_K(dmap, [1.0, 2.0]), [1.0, 2.0])
+
+    def test_omega_K_honours_positivity_tolerance(self):
+        dmap = build_omega_I(solve_schrodinger_pair(DIMER_H))
+        assert build_omega_K(dmap, [1e-4, 1.0]).family == "K"
+        with pytest.raises(SingularScaling):
+            build_omega_K(dmap, [1e-4, 1.0], Tolerances(positivity_rel=1e-3))
+        with pytest.raises(SingularScaling):
+            hermitize(DIMER_H, k_diag=[1e-4, 1.0], tol=Tolerances(positivity_rel=1e-3))
 
     def test_omega_KU_rotates_avatar_keeps_metric(self, rng):
         dmap = build_omega_K(build_omega_I(solve_schrodinger_pair(DIMER_H)), [2.0, 0.5])
@@ -292,6 +302,15 @@ class TestEvolveNormCheck:
     def test_wrong_metric_raises(self):
         with pytest.raises(NotQuasiHermitian):
             evolve_norm_check(DIMER_H, np.eye(2), [1.0, 0.0], [0.0, 1.0])
+
+    def test_defective_basis_raises(self):
+        # gamma = 0.9 kappa: the eigenbasis condition is about 4.4, far above 1.0001
+        p = dimer_from_coupling(1.0, 0.9)
+        _h, _omega, big_h, theta = dimer_build(p)
+        assert evolve_norm_check(big_h, theta, [1.0, 0.0], [0.0, 1.0]).shape == (2,)
+        tight = Tolerances(defective_cond=1.0001)
+        with pytest.raises(DefectiveMatrix):
+            evolve_norm_check(big_h, theta, [1.0, 0.0], [0.0, 1.0], tight)
 
 
 class TestHermitizePipeline:

@@ -9,6 +9,7 @@ from quasiherm import (
     FermionicParams,
     InvalidCoupling,
     SingularDysonMap,
+    Tolerances,
     bch_conjugation_check,
     dimer_build,
     dimer_from_coupling,
@@ -19,6 +20,31 @@ from quasiherm import (
 )
 
 LOG2 = math.log(2.0)
+
+
+def ep_scan_reference(kappa, grid, tol=Tolerances()):
+    """Per-point loop: one eig and one cond per gamma, runs found by walking the flags."""
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+    sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
+    gaps = np.empty(grid.size)
+    conds = np.empty(grid.size)
+    for i, g in enumerate(grid):
+        w, v = np.linalg.eig(kappa * sx + 1j * g * sz)
+        gaps[i] = abs(w[0] - w[1])
+        conds[i] = np.linalg.cond(v)
+    flags = (gaps < 1e-6 * np.sqrt(2.0 * kappa**2 + 2.0 * grid**2)) & (conds > tol.defective_cond)
+    locations = []
+    i = 0
+    while i < grid.size:
+        if flags[i]:
+            j = i
+            while j + 1 < grid.size and flags[j + 1]:
+                j += 1
+            locations.append(grid[i + np.argmin(gaps[i:j + 1])])
+            i = j + 1
+        else:
+            i += 1
+    return gaps, conds, flags, np.asarray(locations, dtype=float)
 
 
 class TestDimerParams:
@@ -149,6 +175,28 @@ class TestEpScan:
         report = ep_scan(kappa, grid)
         assert report.ep_locations.size == 1
         assert abs(report.ep_locations[0] - kappa) <= step + 1e-12
+
+    @pytest.mark.parametrize("below,above", [(0, 0), (50, 0), (0, 50), (200, 300)])
+    def test_matches_per_point_loop(self, below, above):
+        rng = np.random.default_rng(below + above)
+        kappa = 1.0 + int(rng.integers(0, 64)) / 64.0
+        # Two flagged runs, {-kappa - ulp, -kappa} and {kappa, kappa + ulp},
+        # split by the single unflagged point 0, with random points of the
+        # broken phase around them.
+        core = [np.nextafter(-kappa, -np.inf), -kappa, 0.0, kappa, np.nextafter(kappa, np.inf)]
+        grid = np.concatenate([
+            np.sort(rng.uniform(-2.0 * kappa, -1.01 * kappa, below)),
+            core,
+            np.sort(rng.uniform(1.01 * kappa, 2.0 * kappa, above)),
+        ])
+        tol = Tolerances(defective_cond=1e4)
+        gaps, conds, flags, locations = ep_scan_reference(kappa, grid, tol)
+        assert flags.tolist()[below:below + 5] == [True, True, False, True, True]
+        report = ep_scan(kappa, grid, tol)
+        assert np.array_equal(report.min_gap, gaps)
+        assert np.array_equal(report.eigvec_cond, conds)
+        assert np.array_equal(report.is_ep, flags)
+        assert np.array_equal(report.ep_locations, locations)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
