@@ -10,7 +10,8 @@ Omega_KU = U K† Omega_I for unitary U (rotated avatar, same metric).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .linalg import (
     fro,
     herm_part,
     herm_sqrt,
+    hermiticity_residual,
     polar_decompose,
 )
 
@@ -88,11 +90,24 @@ class DysonMap:
 
 @dataclass(frozen=True)
 class Metric:
-    """Physical metric Theta = Omega† Omega with its principal square root."""
+    """Physical metric Theta = Omega† Omega, certified positive definite.
+
+    eigenvalues is the spectrum of theta, ascending.  The principal square
+    root sqrt_theta is computed on first access, under the tolerances the
+    metric was certified with.
+    """
 
     theta: np.ndarray
-    sqrt_theta: np.ndarray
-    min_eigenvalue: float
+    eigenvalues: np.ndarray
+    tol: Tolerances = field(default=DEFAULT_TOL, repr=False)
+
+    @property
+    def min_eigenvalue(self) -> float:
+        return float(self.eigenvalues[0])
+
+    @cached_property
+    def sqrt_theta(self) -> np.ndarray:
+        return herm_sqrt(self.theta, self.tol)
 
 
 @dataclass(frozen=True)
@@ -172,14 +187,14 @@ def build_omega_KU(base: DysonMap, u, tol: Tolerances = DEFAULT_TOL) -> DysonMap
 
 
 def metric_from_theta(theta, tol: Tolerances = DEFAULT_TOL) -> Metric:
-    """Certify a candidate metric: Hermitian, positive definite, with square root."""
+    """Certify a candidate metric: Hermitian part, positive definite, spectrum kept."""
     t = as_square_matrix(theta)
     sym = herm_part(t)
     scale = fro(sym)
     lam = np.linalg.eigvalsh(sym) if scale > 0 else np.zeros(t.shape[0])
     if scale == 0 or lam[0] <= tol.positivity_rel * scale:
         raise NotPositiveDefinite("candidate metric is not positive definite")
-    return Metric(theta=sym, sqrt_theta=herm_sqrt(sym, tol), min_eigenvalue=float(lam[0]))
+    return Metric(theta=sym, eigenvalues=lam, tol=tol)
 
 
 def metric_of(dyson_map: DysonMap, tol: Tolerances = DEFAULT_TOL) -> Metric:
@@ -196,8 +211,7 @@ def hermitian_avatar(h, dyson_map: DysonMap, tol: Tolerances = DEFAULT_TOL) -> n
     """
     a = as_square_matrix(h)
     avatar = dyson_map.omega @ a @ dyson_map.omega_inv
-    scale = fro(avatar) or 1.0
-    if fro(avatar - avatar.conj().T) > tol.residual_rel * scale:
+    if hermiticity_residual(avatar) > tol.residual_rel:
         raise AvatarNotHermitian("map does not produce a Hermitian counterpart for this input")
     return avatar
 
@@ -260,12 +274,11 @@ def evolve_norm_check(h, metric, psi0, times, tol: Tolerances = DEFAULT_TOL) -> 
 def build_report(h, system, dyson_map, metric, avatar, tol: Tolerances) -> HermitizationReport:
     a = as_square_matrix(h)
     r_quasi = quasi_hermiticity_residual(a, metric)
-    scale_av = fro(avatar) or 1.0
-    r_avatar = fro(avatar - avatar.conj().T) / scale_av
+    r_avatar = hermiticity_residual(avatar)
     avatar_spec = np.linalg.eigvalsh(herm_part(avatar))
     scale_h = fro(a) or 1.0
     r_iso = float(np.max(np.abs(avatar_spec - system.energies))) / scale_h
-    lam = np.linalg.eigvalsh(metric.theta)
+    lam = metric.eigenvalues
     passed = (
         r_quasi <= tol.residual_rel
         and r_avatar <= tol.residual_rel

@@ -61,9 +61,13 @@ def herm_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
+def hermiticity_residual(a: np.ndarray) -> float:
+    """Relative deviation from Hermiticity, ||A - A†||_F / ||A||_F (0 for A = 0)."""
+    return fro(a - a.conj().T) / (fro(a) or 1.0)
+
+
 def _require_hermitian(a: np.ndarray, rel: float, what: str) -> np.ndarray:
-    scale = fro(a)
-    if scale > 0 and fro(a - a.conj().T) > rel * scale:
+    if hermiticity_residual(a) > rel:
         raise NotHermitian(f"{what} deviates from Hermiticity beyond {rel:g} relative")
     return herm_part(a)
 
@@ -71,13 +75,12 @@ def _require_hermitian(a: np.ndarray, rel: float, what: str) -> np.ndarray:
 def _normalize_columns(v: np.ndarray) -> np.ndarray:
     # Unit columns with the largest-magnitude component rotated to the positive
     # real axis; ties resolve to the first maximal index, so the output is a
-    # deterministic function of the input matrix.
-    v = v.copy()
-    for j in range(v.shape[1]):
-        col = v[:, j] / np.linalg.norm(v[:, j])
-        lead = col[np.argmax(np.abs(col))]
-        v[:, j] = col * (lead.conjugate() / abs(lead))
-    return v
+    # deterministic function of the input matrix.  Norms are taken column by
+    # column: norm(v, axis=0) sums in another order and changes the bits.
+    v = v / np.array([np.linalg.norm(v[:, j]) for j in range(v.shape[1])])
+    lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    # hypot matches the scalar abs bit for bit; np.abs can differ by one ulp.
+    return v * (lead.conj() / np.hypot(lead.real, lead.imag))
 
 
 def eig_general(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -112,14 +115,22 @@ def eig_general(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarra
     order = np.lexsort((w.imag, w.real))
     w = w[order]
     v = _normalize_columns(v[:, order])
-    cond = np.linalg.cond(v)
-    if not np.isfinite(cond) or cond > tol.defective_cond:
-        raise DefectiveMatrix(
-            f"eigenvector basis condition {cond:.3e} exceeds {tol.defective_cond:.1e}"
-        )
+    try:
+        vinv = np.linalg.inv(v)
+    except np.linalg.LinAlgError:
+        vinv = None
+    # ||V||_F ||V^-1||_F bounds the 2-norm condition from above; the factor 2
+    # dwarfs its rounding error, so the SVD runs only where it can decide.
+    if vinv is None or not fro(v) * fro(vinv) <= 0.5 * tol.defective_cond:
+        cond = np.linalg.cond(v)
+        if not np.isfinite(cond) or cond > tol.defective_cond:
+            raise DefectiveMatrix(
+                f"eigenvector basis condition {cond:.3e} exceeds {tol.defective_cond:.1e}"
+            )
+        if vinv is None:
+            vinv = np.linalg.inv(v)
     # Inverting the right basis biorthonormalizes exactly, degenerate blocks included.
-    left = np.linalg.inv(v).conj().T
-    return w, v, left
+    return w, v, vinv.conj().T
 
 
 def herm_sqrt(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -146,22 +157,24 @@ def herm_sqrt(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 def polar_decompose(m) -> tuple[np.ndarray, np.ndarray]:
     """Right polar decomposition M = W P with W unitary and P Hermitian positive definite.
 
-    P is the Hermitian square root of M†M and W = M P^{-1}.  Raises
-    SingularInput when M†M is numerically singular.
+    From one SVD M = U S V†: W = U V† and P = V S V†, the square root of M†M.
+    Raises SingularInput when M†M is numerically singular, i.e. its smallest
+    eigenvalue s_min² is at or below ``positivity_rel`` times its norm.
     """
     a = as_square_matrix(m)
-    gram = herm_part(a.conj().T @ a)
-    try:
-        p = herm_sqrt(gram)
-    except NotPositiveDefinite as exc:
-        raise SingularInput("polar factor undefined: matrix is numerically singular") from exc
-    w = np.linalg.solve(p, a.conj().T).conj().T
-    return w, p
+    u, s, vh = np.linalg.svd(a)
+    gram_spec = s * s
+    if gram_spec[-1] <= DEFAULT_TOL.positivity_rel * np.linalg.norm(gram_spec):
+        raise SingularInput("polar factor undefined: matrix is numerically singular")
+    return u @ vh, herm_part((vh.conj().T * s) @ vh)
 
 
-def herm_exp(s, scale: float = 1.0) -> np.ndarray:
-    """exp(scale * S) for Hermitian S, evaluated through the spectral decomposition."""
+def herm_exp(s, scale: float = 1.0, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """exp(scale * S) for Hermitian S, evaluated through the spectral decomposition.
+
+    Raises NotHermitian if S is not Hermitian within ``tol.residual_rel``.
+    """
     a = as_square_matrix(s)
-    sym = _require_hermitian(a, DEFAULT_TOL.residual_rel, "herm_exp generator")
+    sym = _require_hermitian(a, tol.residual_rel, "herm_exp generator")
     lam, u = np.linalg.eigh(sym)
     return (u * np.exp(scale * lam)) @ u.conj().T

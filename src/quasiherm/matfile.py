@@ -48,8 +48,18 @@ def dump_matrix(m: np.ndarray) -> dict:
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2:
         raise MatrixFileError(f"expected a 2-d matrix, got shape {a.shape}")
-    data = [[float(z.real), float(z.imag)] for z in a.ravel()]
+    data = np.ascontiguousarray(a).view(np.float64).reshape(-1, 2).tolist()
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": data}
+
+
+def _plain_pairs(data: list) -> bool:
+    # Every entry a [re, im] list of plain ints and floats, as json.load gives;
+    # those convert in one array call.  Anything else takes the checked loop.
+    return (
+        set(map(type, data)) == {list}
+        and set(map(len, data)) == {2}
+        and set(map(type, chain.from_iterable(data))) <= {int, float}
+    )
 
 
 def parse_matrix(doc) -> np.ndarray:
@@ -63,15 +73,18 @@ def parse_matrix(doc) -> np.ndarray:
         raise MatrixFileError("rows and cols must be positive integers")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise MatrixFileError(f"data must hold exactly rows*cols = {rows * cols} entries")
-    out = np.empty(rows * cols, dtype=np.complex128)
-    for i, entry in enumerate(data):
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
-        ):
-            raise MatrixFileError(f"data[{i}] must be a [re, im] pair of numbers")
-        out[i] = complex(entry[0], entry[1])
+    if _plain_pairs(data):
+        out = np.array(data, dtype=np.float64).view(np.complex128).ravel()
+    else:
+        out = np.empty(rows * cols, dtype=np.complex128)
+        for i, entry in enumerate(data):
+            if (
+                not isinstance(entry, list)
+                or len(entry) != 2
+                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
+            ):
+                raise MatrixFileError(f"data[{i}] must be a [re, im] pair of numbers")
+            out[i] = complex(entry[0], entry[1])
     if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
         raise MatrixFileError("matrix entries must be finite")
     return out.reshape(rows, cols)

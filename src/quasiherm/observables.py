@@ -22,7 +22,7 @@ from .dyson import (
     solve_schrodinger_pair,
 )
 from .errors import ComplexSpectrum, DefectiveMatrix, NotHermitianGenerator, NotPositiveDefinite
-from .linalg import DEFAULT_TOL, Tolerances, as_square_matrix, fro, herm_part
+from .linalg import DEFAULT_TOL, Tolerances, as_square_matrix, fro, herm_part, hermiticity_residual
 
 __all__ = [
     "ObservableCandidate",
@@ -72,8 +72,7 @@ is_quasi_hermitian = quasi_hermiticity_residual
 def observable_from_M(metric: Metric, m, tol: Tolerances = DEFAULT_TOL) -> ObservableCandidate:
     """Build the observable Theta^{-1} M from a Hermitian generator M."""
     mm = as_square_matrix(m)
-    scale = fro(mm)
-    if scale > 0 and fro(mm - mm.conj().T) > tol.residual_rel * scale:
+    if hermiticity_residual(mm) > tol.residual_rel:
         raise NotHermitianGenerator("generator M must be Hermitian")
     mm = herm_part(mm)
     a = np.linalg.solve(metric.theta, mm)

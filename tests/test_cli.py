@@ -64,6 +64,27 @@ class TestMatrixFiles:
         with pytest.raises(MatrixFileError):
             parse_matrix({"rows": 0, "cols": 1, "data": []})
 
+    def test_dump_matches_entrywise(self):
+        m = np.array([[complex(-0.0, 0.0), complex(1.5, -0.0)],
+                      [complex(-2.0, -0.0), complex(1e-300, 3.0)]])
+        data = dump_matrix(m)["data"]
+        assert data == [[float(z.real), float(z.imag)] for z in m.ravel()]
+        flat = [x for pair in data for x in pair]
+        assert [np.signbit(x) for x in flat] == [True, False, False, True, True, True, False, False]
+        assert all(type(x) is float for x in flat)
+
+    def test_parse_mixed_numbers(self):
+        data = [[1, -0.0], [2.5, 3], [np.float64(0.25), -7]]
+        out = parse_matrix({"rows": 1, "cols": 3, "data": data})
+        expected = np.array([complex(re, im) for re, im in data])
+        assert out.shape == (1, 3)
+        assert out.ravel().view(np.float64).tobytes() == expected.view(np.float64).tobytes()
+
+    def test_parse_names_the_bad_entry(self):
+        data = [[1.0, 0.0]] * 3 + [[1.0, True]]
+        with pytest.raises(MatrixFileError, match=r"data\[3\]"):
+            parse_matrix({"rows": 2, "cols": 2, "data": data})
+
     def test_emitter_is_plain_json(self):
         doc = dump_matrix(DIMER_H)
         parsed = json.loads(emit_json(doc))
@@ -122,6 +143,10 @@ class TestHermitizeCommand:
 
     def test_defective_exit(self, tmp_path):
         path = write_h(tmp_path, "h.json", [[1.0j, 1.0], [1.0, -1.0j]])
+        assert main(["hermitize", path]) == 4
+
+    def test_exactly_singular_basis_exit(self, tmp_path):
+        path = write_h(tmp_path, "h.json", np.diag([1.0, 1.0], k=1))
         assert main(["hermitize", path]) == 4
 
     def test_malformed_file_exit(self, tmp_path):

@@ -183,6 +183,28 @@ class TestMetric:
         with pytest.raises(NotPositiveDefinite):
             metric_of(dmap)
 
+    def test_sqrt_theta_is_lazy(self, rng):
+        h, _energies, _s = random_real_spectrum(rng, 8)
+        _sys, _dmap, metric, _avatar, _report = hermitize(h)
+        assert "sqrt_theta" not in metric.__dict__
+        root = metric.sqrt_theta
+        assert np.linalg.norm(root @ root - metric.theta) < 1e-14 * np.linalg.norm(metric.theta)
+        assert metric.sqrt_theta is root
+
+    def test_sqrt_theta_uses_certifying_tolerances(self):
+        # positive under a looser positivity gate than the default one
+        tol = Tolerances(positivity_rel=1e-16)
+        metric = metric_from_theta(np.diag([1.0, 1e-14]), tol)
+        assert np.allclose(metric.sqrt_theta, np.diag([1.0, 1e-7]), rtol=1e-14, atol=0)
+
+    def test_report_condition_from_metric_spectrum(self, rng):
+        h, _energies, _s = random_real_spectrum(rng, 16, cond_cap=1e3)
+        _sys, _dmap, metric, _avatar, report = hermitize(h)
+        lam = np.linalg.eigvalsh(metric.theta)
+        assert np.array_equal(metric.eigenvalues, lam)
+        assert metric.min_eigenvalue == lam[0]
+        assert report.metric_condition == lam[-1] / lam[0]
+
     def test_metric_from_theta_validates(self):
         with pytest.raises(NotPositiveDefinite):
             metric_from_theta(np.diag([1.0, -1.0]))
@@ -248,6 +270,19 @@ class TestHermitianDyson:
         dmap = DysonMap(omega=omega, omega_inv=omega_inv, family="KU")
         _u, omega_herm = hermitian_dyson(dmap)
         assert np.linalg.norm(omega_herm @ omega_herm - theta) < 1e-12 * np.linalg.norm(theta)
+
+    def test_k_family_polar_at_n256(self):
+        # forming sqrt(Omega† Omega) lost ~cond(Omega)^2 eps here, so the
+        # rotation failed the unitarity gate; one SVD keeps it near eps
+        rng = np.random.default_rng(0)
+        h, _energies, _s = random_real_spectrum(rng, 256, cond_cap=1e3)
+        k = random_k_diag(rng, 256)
+        _sys, dmap, metric, _avatar, report = hermitize(h, k_diag=k, hermitian_map=True)
+        assert report.passed
+        u = dmap.u_matrix
+        assert np.linalg.norm(u.conj().T @ u - np.eye(256)) < 1e-12
+        _sys2, _dmap2, metric2, _av2, _rep2 = hermitize(h, k_diag=k)
+        assert np.linalg.norm(metric.theta - metric2.theta) < 1e-10 * np.linalg.norm(metric2.theta)
 
     def test_against_svd_polar_oracle(self):
         dmap = build_omega_I(solve_schrodinger_pair(DIMER_H))

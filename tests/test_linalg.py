@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import random_hermitian, random_real_spectrum, random_unitary
+from helpers import dimer_hamiltonian, random_hermitian, random_real_spectrum, random_unitary
 from quasiherm import (
     DefectiveMatrix,
     NotHermitian,
@@ -14,6 +14,7 @@ from quasiherm import (
     herm_sqrt,
     polar_decompose,
 )
+from quasiherm.linalg import _normalize_columns, hermiticity_residual
 
 DIMER_H = np.array([[0.75j, 1.25], [1.25, -0.75j]])
 DIMER_THETA = np.array([[1.25, -0.75j], [0.75j, 1.25]])
@@ -76,6 +77,22 @@ class TestEigGeneral:
         assert np.array_equal(v1, v2)
         assert np.array_equal(u1, u2)
 
+    def test_normalization_matches_per_column_loop(self, rng):
+        # the per-column reference the vectorized phase step must reproduce bit for bit
+        def reference(v):
+            v = v.copy()
+            for j in range(v.shape[1]):
+                col = v[:, j] / np.linalg.norm(v[:, j])
+                lead = col[np.argmax(np.abs(col))]
+                v[:, j] = col * (lead.conjugate() / abs(lead))
+            return v
+
+        # equal-magnitude entries: the first maximal index must lead
+        ties = np.array([[1.0, 1.0j, -1.0], [1.0j, 1.0, 1.0j], [-1.0, 1.0, 0.0]])
+        bases = [np.linalg.eig(random_real_spectrum(rng, n, cond_cap=1e3)[0])[1] for n in (2, 5, 16, 64)]
+        for v in [ties] + bases:
+            assert _normalize_columns(v).tobytes() == reference(v).tobytes()
+
     def test_jordan_block_raises(self):
         with pytest.raises(DefectiveMatrix):
             eig_general(np.array([[1.0, 1.0], [0.0, 1.0]]))
@@ -83,6 +100,15 @@ class TestEigGeneral:
     def test_exceptional_point_raises(self):
         with pytest.raises(DefectiveMatrix):
             eig_general(np.array([[1.0j, 1.0], [1.0, -1.0j]]))
+
+    def test_exactly_singular_basis_raises(self):
+        # zgeev returns a right basis with a zero row for this nilpotent block,
+        # so inv(V) fails outright; that is a defective basis, not a LAPACK error
+        jordan = np.diag([1.0, 1.0], k=1)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(np.linalg.eig(jordan)[1])
+        with pytest.raises(DefectiveMatrix):
+            eig_general(jordan)
 
     def test_rejects_nonsquare_and_nonfinite(self):
         with pytest.raises(ValueError):
@@ -101,6 +127,48 @@ class TestEigGeneral:
             assert np.linalg.norm(u.conj().T @ v - np.eye(n)) < 1e-12
             rebuilt = v @ np.diag(w) @ u.conj().T
             assert np.linalg.norm(rebuilt - h) < 1e-10 * scale
+
+
+class TestDefectivenessGate:
+    # ||V||_F ||V^-1||_F decides most calls without an SVD; the verdict must
+    # still be exactly "cond(V) > defective_cond".
+    def test_matches_two_norm_condition(self, monkeypatch):
+        cond = np.linalg.cond
+        exact_calls = []
+
+        def counted_cond(v):
+            exact_calls.append(1)
+            return cond(v)
+
+        monkeypatch.setattr(np.linalg, "cond", counted_cond)
+        gammas = np.append(1.0 - np.logspace(-16, 0, 33), 1.0)
+        for limit in (1e2, 1e4, 1e8):
+            tol = Tolerances(defective_cond=limit)
+            outcomes = set()
+            for gamma in gammas:
+                h = dimer_hamiltonian(1.0, gamma)
+                try:
+                    basis = eig_general(h, Tolerances(defective_cond=1e300))[1]
+                    expected = not cond(basis) <= limit
+                except DefectiveMatrix:
+                    expected = True
+                before = len(exact_calls)
+                try:
+                    eig_general(h, tol)
+                    raised = False
+                except DefectiveMatrix:
+                    raised = True
+                assert raised == expected, (limit, gamma)
+                outcomes.add((len(exact_calls) > before, raised))
+            # fast accept, accept after the SVD, and reject all occur
+            assert outcomes == {(False, False), (True, False), (True, True)}, limit
+
+
+class TestHermiticityResidual:
+    def test_values(self):
+        assert hermiticity_residual(np.zeros((2, 2))) == 0.0
+        assert hermiticity_residual(DIMER_THETA) == 0.0
+        assert hermiticity_residual(np.array([[0.0, 1.0], [0.0, 0.0]])) == np.sqrt(2.0)
 
 
 class TestHermSqrt:
@@ -192,6 +260,13 @@ class TestHermExp:
     def test_non_hermitian_raises(self):
         with pytest.raises(NotHermitian):
             herm_exp(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+
+    def test_honours_tolerance(self):
+        s = np.array([[0.0, 1.0], [1.0 + 1e-8, 0.0]])
+        with pytest.raises(NotHermitian):
+            herm_exp(s, 1.0)
+        out = herm_exp(s, 1.0, tol=Tolerances(residual_rel=1e-6))
+        assert np.linalg.norm(out - scipy.linalg.expm(0.5 * (s + s.T))) < 1e-14
 
     def test_random_against_expm_oracle(self, rng):
         for _ in range(5):
