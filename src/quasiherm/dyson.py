@@ -10,7 +10,7 @@ Omega_KU = U K† Omega_I for unitary U (rotated avatar, same metric).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -30,7 +30,6 @@ from .linalg import (
     eig_general,
     fro,
     herm_part,
-    herm_sqrt,
     hermiticity_residual,
     polar_decompose,
 )
@@ -93,13 +92,11 @@ class Metric:
     """Physical metric Theta = Omega† Omega, certified positive definite.
 
     eigenvalues is the spectrum of theta, ascending.  The principal square
-    root sqrt_theta is computed on first access, under the tolerances the
-    metric was certified with.
+    root sqrt_theta is computed on first access.
     """
 
     theta: np.ndarray
     eigenvalues: np.ndarray
-    tol: Tolerances = field(default=DEFAULT_TOL, repr=False)
 
     @property
     def min_eigenvalue(self) -> float:
@@ -107,7 +104,10 @@ class Metric:
 
     @cached_property
     def sqrt_theta(self) -> np.ndarray:
-        return herm_sqrt(self.theta, self.tol)
+        # theta passed its positivity gate when certified; no second gate on
+        # the eigh spectrum, so reading the root cannot fail afterwards.
+        lam, u = np.linalg.eigh(self.theta)
+        return herm_part((u * np.sqrt(lam)) @ u.conj().T)
 
 
 @dataclass(frozen=True)
@@ -194,7 +194,7 @@ def metric_from_theta(theta, tol: Tolerances = DEFAULT_TOL) -> Metric:
     lam = np.linalg.eigvalsh(sym) if scale > 0 else np.zeros(t.shape[0])
     if scale == 0 or lam[0] <= tol.positivity_rel * scale:
         raise NotPositiveDefinite("candidate metric is not positive definite")
-    return Metric(theta=sym, eigenvalues=lam, tol=tol)
+    return Metric(theta=sym, eigenvalues=lam)
 
 
 def metric_of(dyson_map: DysonMap, tol: Tolerances = DEFAULT_TOL) -> Metric:

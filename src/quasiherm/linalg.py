@@ -169,12 +169,9 @@ def polar_decompose(m) -> tuple[np.ndarray, np.ndarray]:
     return u @ vh, herm_part((vh.conj().T * s) @ vh)
 
 
-def herm_exp(s, scale: float = 1.0, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """exp(scale * S) for Hermitian S, evaluated through the spectral decomposition.
-
-    Raises NotHermitian if S is not Hermitian within ``tol.residual_rel``.
-    """
+def herm_exp(s, scale: float = 1.0) -> np.ndarray:
+    """exp(scale * S) for Hermitian S, evaluated through the spectral decomposition."""
     a = as_square_matrix(s)
-    sym = _require_hermitian(a, tol.residual_rel, "herm_exp generator")
+    sym = _require_hermitian(a, DEFAULT_TOL.residual_rel, "herm_exp generator")
     lam, u = np.linalg.eigh(sym)
     return (u * np.exp(scale * lam)) @ u.conj().T

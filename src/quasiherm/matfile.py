@@ -54,7 +54,7 @@ def dump_matrix(m: np.ndarray) -> dict:
 
 def _plain_pairs(data: list) -> bool:
     # Every entry a [re, im] list of plain ints and floats, as json.load gives;
-    # those convert in one array call.  Anything else takes the checked loop.
+    # anything else is checked entry by entry.
     return (
         set(map(type, data)) == {list}
         and set(map(len, data)) == {2}
@@ -73,10 +73,7 @@ def parse_matrix(doc) -> np.ndarray:
         raise MatrixFileError("rows and cols must be positive integers")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise MatrixFileError(f"data must hold exactly rows*cols = {rows * cols} entries")
-    if _plain_pairs(data):
-        out = np.array(data, dtype=np.float64).view(np.complex128).ravel()
-    else:
-        out = np.empty(rows * cols, dtype=np.complex128)
+    if not _plain_pairs(data):
         for i, entry in enumerate(data):
             if (
                 not isinstance(entry, list)
@@ -84,7 +81,7 @@ def parse_matrix(doc) -> np.ndarray:
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
             ):
                 raise MatrixFileError(f"data[{i}] must be a [re, im] pair of numbers")
-            out[i] = complex(entry[0], entry[1])
+    out = np.array(data, dtype=np.float64).view(np.complex128).ravel()
     if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
         raise MatrixFileError("matrix entries must be finite")
     return out.reshape(rows, cols)

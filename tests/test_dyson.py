@@ -191,8 +191,9 @@ class TestMetric:
         assert np.linalg.norm(root @ root - metric.theta) < 1e-14 * np.linalg.norm(metric.theta)
         assert metric.sqrt_theta is root
 
-    def test_sqrt_theta_uses_certifying_tolerances(self):
-        # positive under a looser positivity gate than the default one
+    def test_sqrt_theta_of_loosely_certified_metric(self):
+        # certified under a looser positivity gate than the default one; the
+        # root is read without a second gate
         tol = Tolerances(positivity_rel=1e-16)
         metric = metric_from_theta(np.diag([1.0, 1e-14]), tol)
         assert np.allclose(metric.sqrt_theta, np.diag([1.0, 1e-7]), rtol=1e-14, atol=0)
