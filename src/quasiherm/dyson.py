@@ -237,7 +237,7 @@ def hermitian_dyson(dyson_map: DysonMap, tol: Tolerances = DEFAULT_TOL) -> tuple
     u Omega u = P W† = (W P)† and u Omega = P, the square root of the metric of
     Omega.  Returns (u, omega_herm).
     """
-    w, _p = polar_decompose(dyson_map.omega)
+    w, _p = polar_decompose(dyson_map.omega, tol)
     u = w.conj().T
     return u, u @ dyson_map.omega
 

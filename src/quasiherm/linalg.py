@@ -154,17 +154,17 @@ def herm_sqrt(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return herm_part(root)
 
 
-def polar_decompose(m) -> tuple[np.ndarray, np.ndarray]:
+def polar_decompose(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Right polar decomposition M = W P with W unitary and P Hermitian positive definite.
 
     From one SVD M = U S V†: W = U V† and P = V S V†, the square root of M†M.
     Raises SingularInput when M†M is numerically singular, i.e. its smallest
-    eigenvalue s_min² is at or below ``positivity_rel`` times its norm.
+    eigenvalue s_min² is at or below ``tol.positivity_rel`` times its norm.
     """
     a = as_square_matrix(m)
     u, s, vh = np.linalg.svd(a)
     gram_spec = s * s
-    if gram_spec[-1] <= DEFAULT_TOL.positivity_rel * np.linalg.norm(gram_spec):
+    if gram_spec[-1] <= tol.positivity_rel * np.linalg.norm(gram_spec):
         raise SingularInput("polar factor undefined: matrix is numerically singular")
     return u @ vh, herm_part((vh.conj().T * s) @ vh)
 

@@ -8,7 +8,7 @@ digits, so identical inputs always produce identical bytes.
 from __future__ import annotations
 
 import json
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -44,12 +44,20 @@ class MatrixFileError(ValueError):
     """Raised when a matrix document does not satisfy the schema."""
 
 
-def dump_matrix(m: np.ndarray) -> dict:
+def _matrix_doc(m: np.ndarray) -> dict:
+    # The matrix document with `data` as the (entries, 2) float64 view of the
+    # array; emit_json renders it without building Python pair lists.
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2:
         raise MatrixFileError(f"expected a 2-d matrix, got shape {a.shape}")
-    data = np.ascontiguousarray(a).view(np.float64).reshape(-1, 2).tolist()
+    data = np.ascontiguousarray(a).view(np.float64).reshape(-1, 2)
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": data}
+
+
+def dump_matrix(m: np.ndarray) -> dict:
+    doc = _matrix_doc(m)
+    doc["data"] = doc["data"].tolist()
+    return doc
 
 
 def _plain_pairs(data: list) -> bool:
@@ -81,7 +89,10 @@ def parse_matrix(doc) -> np.ndarray:
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
             ):
                 raise MatrixFileError(f"data[{i}] must be a [re, im] pair of numbers")
-    out = np.array(data, dtype=np.float64).view(np.complex128).ravel()
+    try:
+        out = np.array(data, dtype=np.float64).view(np.complex128).ravel()
+    except OverflowError as exc:
+        raise MatrixFileError("matrix entries must lie within the float range") from exc
     if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
         raise MatrixFileError("matrix entries must be finite")
     return out.reshape(rows, cols)
@@ -98,7 +109,7 @@ def load_matrix_file(path) -> np.ndarray:
 
 def write_matrix_file(path, m: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(emit_json(dump_matrix(m)))
+        fh.write(emit_json(_matrix_doc(m)))
         fh.write("\n")
 
 
@@ -111,13 +122,17 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _emit_float_pairs(pairs: list, pad: str) -> str:
-    # The generic path's bytes for a list of [float, float] pairs (dump_matrix
-    # data), with every leaf formatted in one pass.
-    leaves = map(format, chain.from_iterable(pairs), repeat(".17g"))
-    text = ["-0.0" if t == "-0" else t for t in leaves]
-    items = map("[{}, {}]".format, text[::2], text[1::2])
-    return "[\n" + pad + "  " + (",\n" + pad + "  ").join(items) + "\n" + pad + "]"
+def _emit_pairs(data: np.ndarray, pad: str) -> str:
+    # The generic path's bytes for the same data as [re, im] lists, from one
+    # %-format pass over an (entries, 2) float array.  ".17g" writes negative
+    # zero as "-0", which can only stand as "[-0," or " -0]"; _fmt_float's
+    # "-0.0" is put back there.
+    if not len(data):
+        return "[]"
+    sep = ",\n" + pad + "  "
+    template = "[\n" + pad + "  " + sep.join(["[%.17g, %.17g]"] * len(data)) + "\n" + pad + "]"
+    text = template % tuple(data.ravel().tolist())
+    return text.replace("[-0,", "[-0.0,").replace(" -0]", " -0.0]")
 
 
 def _emit(value, indent: int) -> str:
@@ -129,12 +144,11 @@ def _emit(value, indent: int) -> str:
         for k, v in value.items():
             items.append(f'{pad}  "{k}": {_emit(v, indent + 1)}')
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(value, np.ndarray):
+        return _emit_pairs(value, pad)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if all(type(v) is list and len(v) == 2 and type(v[0]) is float and type(v[1]) is float
-               for v in value):
-            return _emit_float_pairs(value, pad)
         if all(not isinstance(v, (dict, list, tuple)) for v in value):
             return "[" + ", ".join(_emit(v, indent) for v in value) + "]"
         items = [f"{pad}  {_emit(v, indent + 1)}" for v in value]
@@ -153,7 +167,10 @@ def _emit(value, indent: int) -> str:
 
 
 def emit_json(doc) -> str:
-    """Render a document with fixed key order and .17g float formatting."""
+    """Render a document with fixed key order and .17g float formatting.
+
+    An (entries, 2) float array renders as its list of [re, im] pairs would.
+    """
     return _emit(doc, 0)
 
 
@@ -186,8 +203,8 @@ def report_document(
                 "isospectrality": report.residual_isospectral,
                 "metric_condition": report.metric_condition,
             },
-            "metric": dump_matrix(metric.theta),
-            "avatar": dump_matrix(avatar),
+            "metric": _matrix_doc(metric.theta),
+            "avatar": _matrix_doc(avatar),
             "passed": report.passed,
             "tolerances": _tol_map(tol),
         }
@@ -206,5 +223,5 @@ def compat_document(result, h1: np.ndarray, h2: np.ndarray, tol: Tolerances) -> 
             "quasi_hermiticity_h1": is_quasi_hermitian(h1, result.theta),
             "quasi_hermiticity_h2": is_quasi_hermitian(h2, result.theta),
         }
-        entries["metric"] = dump_matrix(result.theta.theta)
+        entries["metric"] = _matrix_doc(result.theta.theta)
     return _ordered(entries)

@@ -1,11 +1,14 @@
+import dataclasses
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from helpers import dimer_hamiltonian
+from helpers import dimer_hamiltonian, random_real_spectrum
+from quasiherm import DEFAULT_TOL, Metric, hermitize
 from quasiherm.cli import main
 from quasiherm.matfile import (
     MatrixFileError,
@@ -13,10 +16,19 @@ from quasiherm.matfile import (
     emit_json,
     load_matrix_file,
     parse_matrix,
+    report_document,
     write_matrix_file,
 )
 
 DIMER_H = dimer_hamiltonian(1.25, 0.75)
+
+# Floats whose ".17g" text needs care: signed zeros, subnormals, the ends of
+# the float range, and integral values that print without a decimal point.
+AWKWARD_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, -3.5e-320, 2.2250738585072014e-308,
+    1e308, -1e308, 1.7976931348623157e308, 1e-300, -1e-300, 1.0, -2.0, 1e16,
+    -9007199254740993.0, 0.1, -0.1, 1.0 / 3.0, 123456789.0,
+]
 
 
 def write_h(tmp_path, name, m):
@@ -114,6 +126,65 @@ class TestMatrixFiles:
         assert emit_json({"data": data}) == '{\n  "data": ' + rendered + "\n}"
 
 
+def reference_emit(value, indent=0):
+    """emit_json's generic path, with matrix data as [re, im] lists."""
+    pad = "  " * indent
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, dict):
+        items = [f'{pad}  "{k}": {reference_emit(v, indent + 1)}' for k, v in value.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}" if items else "{}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        if not any(isinstance(v, (dict, list)) for v in value):
+            return "[" + ", ".join(reference_emit(v, indent) for v in value) + "]"
+        items = [f"{pad}  {reference_emit(v, indent + 1)}" for v in value]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        if value == 0.0 and math.copysign(1.0, value) < 0:
+            return "-0.0"
+        return format(value, ".17g")
+    if isinstance(value, str):
+        return json.dumps(value)
+    raise TypeError(type(value))
+
+
+class TestEmitterBytes:
+    @staticmethod
+    def assert_report_bytes(theta, avatar):
+        _sys, _dmap, _metric, _avatar, report = hermitize(DIMER_H)
+        report = dataclasses.replace(report, energies=np.array(AWKWARD_FLOATS))
+        metric = Metric(theta, np.ones(theta.shape[0]))
+        doc = report_document(report, metric, avatar, DEFAULT_TOL)
+        assert emit_json(doc) == reference_emit(doc)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 3), (3, 1), (17, 17)])
+    def test_awkward_floats(self, shape):
+        floats = np.resize(np.array(AWKWARD_FLOATS), 2 * shape[0] * shape[1])
+        m = floats.view(np.complex128).reshape(shape)
+        self.assert_report_bytes(m, -m[::-1])
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(11)
+        bits = rng.integers(0, 2**64, size=2 * 10**4, dtype=np.uint64)
+        floats = bits.view(np.float64)
+        per_report = 2 * 2 * 17 * 17
+        count = -(-(10**4) // per_report) * per_report
+        floats = floats[np.isfinite(floats)][:count]
+        assert floats.size == count
+        for pair in floats.view(np.complex128).reshape(-1, 2, 17, 17):
+            self.assert_report_bytes(pair[0], pair[1])
+
+    def test_empty_data(self):
+        doc = {"rows": 0, "cols": 0, "data": np.empty((0, 2))}
+        assert emit_json(doc) == reference_emit(doc) == '{\n  "rows": 0,\n  "cols": 0,\n  "data": []\n}'
+
+
 class TestHermitizeCommand:
     def test_dimer_passes(self, tmp_path, capsys):
         path = write_h(tmp_path, "h.json", DIMER_H)
@@ -153,6 +224,23 @@ class TestHermitizeCommand:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["hermitize", str(bad)]) == 2
+
+    def test_integer_beyond_float_range_exit(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"rows": 1, "cols": 1, "data": [[1' + "0" * 400 + ", 0]]}")
+        assert main(["hermitize", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_report_round_trips_library_bits(self, tmp_path, capsys):
+        h, _energies, _s = random_real_spectrum(np.random.default_rng(5), 32)
+        path = write_h(tmp_path, "h.json", h)
+        assert main(["hermitize", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        _sys, _dmap, metric, avatar, _report = hermitize(h)
+        for key, m in (("metric", metric.theta), ("avatar", avatar)):
+            back = np.array(doc[key]["data"], dtype=np.float64)
+            assert back.tobytes() == np.ascontiguousarray(m, dtype=np.complex128).tobytes()
 
     def test_missing_file_exit(self, tmp_path):
         assert main(["hermitize", str(tmp_path / "absent.json")]) == 2

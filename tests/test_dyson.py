@@ -285,6 +285,16 @@ class TestHermitianDyson:
         _sys2, _dmap2, metric2, _av2, _rep2 = hermitize(h, k_diag=k)
         assert np.linalg.norm(metric.theta - metric2.theta) < 1e-10 * np.linalg.norm(metric2.theta)
 
+    def test_caller_tolerance_reaches_polar_gate(self):
+        # with k = (1, 1e-6) the map's Gram spectrum spans about 1e-12, which
+        # fails the default positivity_rel and passes the caller's 1e-20
+        tol = Tolerances(positivity_rel=1e-20, residual_rel=1e-8)
+        _sys, dmap, _metric, _avatar, report = hermitize(
+            DIMER_H, k_diag=[1.0, 1e-6], hermitian_map=True, tol=tol
+        )
+        assert report.passed
+        assert dmap.family == "KU"
+
     def test_against_svd_polar_oracle(self):
         dmap = build_omega_I(solve_schrodinger_pair(DIMER_H))
         _u, omega_herm = hermitian_dyson(dmap)
