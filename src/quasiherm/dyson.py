@@ -175,8 +175,9 @@ def build_omega_KU(base: DysonMap, u, tol: Tolerances = DEFAULT_TOL) -> DysonMap
     if um.shape[0] != base.dimension:
         raise ValueError("u has the wrong dimension for this map")
     eye = np.eye(base.dimension)
-    if fro(um.conj().T @ um - eye) > tol.residual_rel:
-        raise NotUnitary("u fails the unitarity residual check")
+    residual = fro(um.conj().T @ um - eye)
+    if residual > tol.residual_rel:
+        raise NotUnitary(f"unitarity residual {residual:.3e} exceeds {tol.residual_rel:g}")
     return DysonMap(
         omega=um @ base.omega,
         omega_inv=base.omega_inv @ um.conj().T,
@@ -191,9 +192,14 @@ def metric_from_theta(theta, tol: Tolerances = DEFAULT_TOL) -> Metric:
     t = as_square_matrix(theta)
     sym = herm_part(t)
     scale = fro(sym)
-    lam = np.linalg.eigvalsh(sym) if scale > 0 else np.zeros(t.shape[0])
-    if scale == 0 or lam[0] <= tol.positivity_rel * scale:
-        raise NotPositiveDefinite("candidate metric is not positive definite")
+    if scale == 0:
+        raise NotPositiveDefinite("candidate metric is the zero matrix")
+    lam = np.linalg.eigvalsh(sym)
+    if lam[0] <= tol.positivity_rel * scale:
+        raise NotPositiveDefinite(
+            f"candidate metric's smallest eigenvalue {lam[0]:.3e} at or below "
+            f"{tol.positivity_rel:g} * {scale:.3e}"
+        )
     return Metric(theta=sym, eigenvalues=lam)
 
 
@@ -211,8 +217,12 @@ def hermitian_avatar(h, dyson_map: DysonMap, tol: Tolerances = DEFAULT_TOL) -> n
     """
     a = as_square_matrix(h)
     avatar = dyson_map.omega @ a @ dyson_map.omega_inv
-    if hermiticity_residual(avatar) > tol.residual_rel:
-        raise AvatarNotHermitian("map does not produce a Hermitian counterpart for this input")
+    residual = hermiticity_residual(avatar)
+    if residual > tol.residual_rel:
+        raise AvatarNotHermitian(
+            f"avatar Hermiticity residual {residual:.3e} exceeds {tol.residual_rel:g}: "
+            "the map does not hermitize this input"
+        )
     return avatar
 
 
@@ -307,8 +317,10 @@ def hermitize(h, k_diag=None, hermitian_map: bool = False, tol: Tolerances = DEF
     if k_diag is not None:
         dmap = build_omega_K(dmap, k_diag, tol)
     if hermitian_map:
-        u, _omega_herm = hermitian_dyson(dmap, tol)
-        dmap = build_omega_KU(dmap, u, tol)
+        # u = W† from Omega = W P, as in hermitian_dyson, without forming the
+        # product u Omega that hermitian_dyson also returns.
+        w, _p = polar_decompose(dmap.omega, tol)
+        dmap = build_omega_KU(dmap, w.conj().T, tol)
     metric = metric_of(dmap, tol)
     avatar = hermitian_avatar(h, dmap, tol)
     report = build_report(h, system, dmap, metric, avatar, tol)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -26,6 +28,7 @@ from quasiherm import (
     quasi_hermiticity_residual,
     solve_schrodinger_pair,
 )
+from quasiherm.linalg import hermiticity_residual
 from quasiherm.models import FermionicParams, dimer_build, dimer_from_coupling, fermionic_build
 
 LOG2 = np.log(2.0)
@@ -229,6 +232,38 @@ class TestHermitianAvatar:
             hermitian_avatar(DIMER_H, dmap)
 
 
+class TestFailureMessages:
+    # each message names the measured value and the gate it failed
+    def test_not_unitary(self):
+        dmap = build_omega_I(solve_schrodinger_pair(DIMER_H))
+        # ||(2I)†(2I) - I||_F = 3 sqrt(2)
+        with pytest.raises(NotUnitary, match=r"unitarity residual 4\.243e\+00 exceeds 1e-10"):
+            build_omega_KU(dmap, 2.0 * np.eye(2))
+        with pytest.raises(NotUnitary, match=r"exceeds 1e-12$"):
+            build_omega_KU(dmap, np.array([[1.0, 1e-11], [0.0, 1.0]]), Tolerances(residual_rel=1e-12))
+
+    def test_avatar_not_hermitian(self):
+        dmap = DysonMap(omega=np.eye(2), omega_inv=np.eye(2), family="I")
+        residual = hermiticity_residual(DIMER_H)
+        expected = re.escape(f"avatar Hermiticity residual {residual:.3e} exceeds 1e-10")
+        with pytest.raises(AvatarNotHermitian, match=expected):
+            hermitian_avatar(DIMER_H, dmap)
+
+    def test_metric_not_positive_definite(self):
+        with pytest.raises(
+            NotPositiveDefinite,
+            match=r"smallest eigenvalue -1\.000e\+00 at or below 1e-12 \* 1\.414e\+00",
+        ):
+            metric_from_theta(np.diag([1.0, -1.0]))
+        with pytest.raises(
+            NotPositiveDefinite,
+            match=r"smallest eigenvalue 1\.000e-10 at or below 1e-09 \* 1\.000e\+00",
+        ):
+            metric_from_theta(np.diag([1.0, 1e-10]), Tolerances(positivity_rel=1e-9))
+        with pytest.raises(NotPositiveDefinite, match="zero matrix"):
+            metric_from_theta(np.zeros((2, 2)))
+
+
 class TestQuasiHermiticityResidual:
     def test_matched_pair_vanishes(self):
         assert quasi_hermiticity_residual(DIMER_H, DIMER_THETA) < 1e-15
@@ -380,6 +415,17 @@ class TestHermitizePipeline:
         assert np.linalg.norm(metric.theta - metric2.theta) < 1e-12 * np.linalg.norm(metric2.theta)
         assert np.linalg.norm(dmap.omega - dmap.omega.conj().T) < 1e-12
         assert np.linalg.norm(avatar - avatar.conj().T) < 1e-12 * np.linalg.norm(avatar)
+
+    def test_hermitian_map_matches_hermitian_dyson(self, rng):
+        h, _energies, _s = random_real_spectrum(rng, 12)
+        k = random_k_diag(rng, 12)
+        system, dmap, _metric, _avatar, _report = hermitize(h, k_diag=k, hermitian_map=True)
+        base = build_omega_K(build_omega_I(system), k)
+        u, omega_herm = hermitian_dyson(base)
+        assert dmap.u_matrix.tobytes() == u.tobytes()
+        assert dmap.omega.tobytes() == build_omega_KU(base, u).omega.tobytes()
+        # the rotated map is the Hermitian map hermitian_dyson returns
+        assert np.linalg.norm(dmap.omega - omega_herm) < 1e-12 * np.linalg.norm(omega_herm)
 
     def test_random_suite(self, rng):
         for _ in range(8):

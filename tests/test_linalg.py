@@ -1,18 +1,34 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import dimer_hamiltonian, random_hermitian, random_real_spectrum, random_unitary
+from helpers import (
+    dimer_hamiltonian,
+    random_hermitian,
+    random_k_diag,
+    random_real_spectrum,
+    random_unitary,
+)
 from quasiherm import (
+    ComplexSpectrum,
     DefectiveMatrix,
     NotHermitian,
     NotPositiveDefinite,
+    QuasihermError,
     SingularInput,
     Tolerances,
     eig_general,
+    evolve_norm_check,
     herm_exp,
     herm_sqrt,
+    hermitize,
     polar_decompose,
+    solve_schrodinger_pair,
 )
 from quasiherm.linalg import _normalize_columns, hermiticity_residual
 
@@ -164,6 +180,181 @@ class TestDefectivenessGate:
             assert outcomes == {(False, False), (True, False), (True, True)}, limit
 
 
+# Factoring this matrix replaces whatever eig_general has memoized.
+EVICT = np.diag([1.0, 2.0, 3.0])
+
+
+def _count_eig(monkeypatch):
+    calls = []
+    eig = np.linalg.eig
+
+    def counted(a):
+        calls.append(1)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    return calls
+
+
+def _bits(arrays):
+    return [(x.tobytes(), x.flags.c_contiguous, x.flags.f_contiguous) for x in arrays]
+
+
+def _hermitize_bits(h, k, tol):
+    system, dmap, metric, avatar, report = hermitize(h, k_diag=k, tol=tol)
+    arrays = (
+        system.energies, system.right_kets, system.left_kets, dmap.omega, dmap.omega_inv,
+        metric.theta, metric.eigenvalues, avatar, report.energies,
+    )
+    scalars = (
+        report.residual_quasi_herm, report.residual_avatar_herm,
+        report.residual_isospectral, report.metric_condition, report.passed,
+    )
+    return _bits(arrays), scalars
+
+
+class TestEigMemo:
+    def test_pipeline_factors_once(self, rng, monkeypatch):
+        h, _energies, _s = random_real_spectrum(rng, 6)
+        eig_general(EVICT)
+        calls = _count_eig(monkeypatch)
+        _sys, _dmap, metric, _avatar, _report = hermitize(h)
+        hermitize(h, k_diag=random_k_diag(rng, 6))
+        evolve_norm_check(h, metric, np.ones(6), np.linspace(0.0, 1.0, 5))
+        assert len(calls) == 1
+        hermitize(random_real_spectrum(rng, 6)[0])
+        assert len(calls) == 2
+
+    def test_hit_matches_fresh_bits(self, rng, monkeypatch):
+        h, _energies, _s = random_real_spectrum(rng, 16, cond_cap=1e3)
+        eig_general(EVICT)
+        calls = _count_eig(monkeypatch)
+        fresh = _bits(eig_general(h))
+        hit = _bits(eig_general(h))
+        assert len(calls) == 1
+        eig_general(EVICT)
+        again = _bits(eig_general(h))
+        assert len(calls) == 3
+        assert hit == fresh == again
+        # left is the conjugate transpose of inv(V): F-ordered on every path
+        assert hit[2][2]
+
+    def test_mutating_results_leaves_memo_intact(self, rng):
+        h, _energies, _s = random_real_spectrum(rng, 5)
+        first = eig_general(h)
+        expected = _bits(first)
+        for x in first:
+            x[...] = 0
+        second = eig_general(h)
+        assert _bits(second) == expected
+        for x in second:
+            x[...] = 0
+        assert _bits(eig_general(h)) == expected
+        system, dmap, _metric, _avatar, _report = hermitize(h)
+        before = _hermitize_bits(h, None, Tolerances())
+        system.right_kets[...] = 0
+        dmap.omega_inv[...] = 1
+        dmap.omega[...] = 2
+        assert _hermitize_bits(h, None, Tolerances()) == before
+
+    def test_stricter_gates_still_raise_after_hit(self, monkeypatch):
+        # cond(V) of this dimer is about 14.1
+        h = dimer_hamiltonian(1.0, 0.99)
+        eig_general(EVICT)
+        calls = _count_eig(monkeypatch)
+        eig_general(h)
+        eig_general(h)
+        assert len(calls) == 1
+        with pytest.raises(DefectiveMatrix):
+            eig_general(h, Tolerances(defective_cond=10.0))
+        # imaginary parts of 1e-12 pass the default reality gate only
+        z = np.diag([1.0 + 1e-12j, -1.0])
+        solve_schrodinger_pair(z)
+        before = len(calls)
+        with pytest.raises(ComplexSpectrum):
+            solve_schrodinger_pair(z, Tolerances(reality_rel=1e-14))
+        assert len(calls) == before
+
+    def test_signed_zero_is_a_separate_key(self, monkeypatch):
+        plus = np.array([[1.0, 0.0], [0.5, 2.0]])
+        minus = np.array([[1.0, -0.0], [0.5, 2.0]])
+        eig_general(EVICT)
+        calls = _count_eig(monkeypatch)
+        eig_general(plus)
+        eig_general(minus)
+        eig_general(plus)
+        assert len(calls) == 3
+
+    def test_fortran_input_matches_c_copy(self, rng):
+        h, _energies, _s = random_real_spectrum(rng, 12)
+        eig_general(EVICT)
+        c_bits = _bits(eig_general(np.ascontiguousarray(h)))
+        eig_general(EVICT)
+        assert _bits(eig_general(np.asfortranarray(h))) == c_bits
+        assert _bits(eig_general(np.ascontiguousarray(h))) == c_bits
+
+    def test_threads_never_see_another_matrix_result(self, rng):
+        # more threads than cores, switching often, on two alternating keys
+        hs = [random_real_spectrum(rng, 4)[0] for _ in range(2)]
+        expected = []
+        for h in hs:
+            eig_general(EVICT)
+            expected.append(_bits(eig_general(h)))
+        mismatches, finished = [], []
+
+        def worker(index):
+            for _ in range(200):
+                which = index % 2
+                if _bits(eig_general(hs[which])) != expected[which]:
+                    mismatches.append(which)
+                index += 1
+            finished.append(index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(finished) == len(threads)
+        assert mismatches == []
+
+    @settings(max_examples=50)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 8),
+        calls=st.lists(
+            st.tuples(
+                st.integers(0, 1),
+                st.booleans(),
+                st.sampled_from([30.0, 1e3, 1e8]),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_any_call_sequence_matches_evicted_recompute(self, seed, n, calls):
+        rng = np.random.default_rng(seed)
+        hs = [random_real_spectrum(rng, n)[0] for _ in range(2)]
+        k = random_k_diag(rng, n)
+        for which, with_k, cond in calls:
+            args = (hs[which], k if with_k else None, Tolerances(defective_cond=cond))
+            outcomes = []
+            for evict in (False, True):
+                if evict:
+                    eig_general(EVICT)
+                try:
+                    outcomes.append(_hermitize_bits(*args))
+                except QuasihermError as exc:
+                    outcomes.append((type(exc), str(exc)))
+            assert outcomes[0] == outcomes[1]
+
+
 class TestHermiticityResidual:
     def test_values(self):
         assert hermiticity_residual(np.zeros((2, 2))) == 0.0
@@ -219,6 +410,10 @@ class TestPolarDecompose:
     def test_singular_raises(self):
         with pytest.raises(SingularInput):
             polar_decompose(np.diag([1.0, 0.0]))
+
+    def test_singular_message_names_value_and_gate(self):
+        with pytest.raises(SingularInput, match=r"s_min\^2 1\.000e-16 at or below 1e-12 \* 1\.000e\+00"):
+            polar_decompose(np.diag([1.0, 1e-8]))
 
     def test_random_against_svd_oracle(self, rng):
         for _ in range(5):
