@@ -51,12 +51,6 @@ def _add_tol_flags(sub: argparse.ArgumentParser) -> None:
                      help="relative eigenvalue reality tolerance (default 1e-9)")
     sub.add_argument("--tol-positivity", type=float, default=1e-12, metavar="X",
                      help="relative positivity threshold (default 1e-12)")
-    _add_defective_flag(sub)
-
-
-def _add_defective_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol-defective", type=float, default=1e8, metavar="X",
-                     help="largest accepted eigenbasis condition number (default 1e8)")
 
 
 def _tolerances(args: argparse.Namespace) -> Tolerances:
@@ -64,7 +58,6 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
         residual_rel=args.tol_residual,
         reality_rel=args.tol_reality,
         positivity_rel=args.tol_positivity,
-        defective_cond=args.tol_defective,
     )
 
 
@@ -137,7 +130,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         raise ValueError("--kappa must be positive")
     count = int(np.floor((args.gamma_max - args.gamma_min) / args.step + 1e-9)) + 1
     grid = args.gamma_min + np.arange(count) * args.step
-    report = ep_scan(args.kappa, grid, Tolerances(defective_cond=args.tol_defective))
+    report = ep_scan(args.kappa, grid)
     lines = ["gamma,min_gap,eigvec_cond,is_ep"]
     for g, gap, cond, flag in zip(
         report.parameter_grid, report.min_gap, report.eigvec_cond, report.is_ep
@@ -199,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--gamma-min", type=float, required=True)
     p_scan.add_argument("--gamma-max", type=float, required=True)
     p_scan.add_argument("--step", type=float, required=True)
-    _add_defective_flag(p_scan)
     p_scan.set_defaults(func=cmd_scan)
 
     p_compat = subs.add_parser("compat", help="decide whether two Hamiltonians share a metric")

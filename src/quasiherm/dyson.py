@@ -247,9 +247,14 @@ def hermitian_dyson(dyson_map: DysonMap, tol: Tolerances = DEFAULT_TOL) -> tuple
     u Omega u = P W† = (W P)† and u Omega = P, the square root of the metric of
     Omega.  Returns (u, omega_herm).
     """
-    w, _p = polar_decompose(dyson_map.omega, tol)
-    u = w.conj().T
+    u = _polar_unitary(dyson_map.omega, tol)
     return u, u @ dyson_map.omega
+
+
+def _polar_unitary(omega: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """u = W† from the right polar decomposition Omega = W P."""
+    w, _p = polar_decompose(omega, tol)
+    return w.conj().T
 
 
 def phys_inner(metric, psi, phi) -> complex:
@@ -317,10 +322,8 @@ def hermitize(h, k_diag=None, hermitian_map: bool = False, tol: Tolerances = DEF
     if k_diag is not None:
         dmap = build_omega_K(dmap, k_diag, tol)
     if hermitian_map:
-        # u = W† from Omega = W P, as in hermitian_dyson, without forming the
-        # product u Omega that hermitian_dyson also returns.
-        w, _p = polar_decompose(dmap.omega, tol)
-        dmap = build_omega_KU(dmap, w.conj().T, tol)
+        # hermitian_dyson's u, without the product u Omega it also returns
+        dmap = build_omega_KU(dmap, _polar_unitary(dmap.omega, tol), tol)
     metric = metric_of(dmap, tol)
     avatar = hermitian_avatar(h, dmap, tol)
     report = build_report(h, system, dmap, metric, avatar, tol)

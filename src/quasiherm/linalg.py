@@ -83,17 +83,13 @@ def _normalize_columns(v: np.ndarray) -> np.ndarray:
     return v * (lead.conj() / np.hypot(lead.real, lead.imag))
 
 
-# The last successful factorization, as one (key, (w, v, left)) tuple.  It is
-# replaced whole and read once per call, so no thread can pair one key with
-# another entry's arrays.  One entry serves every repeat on one matrix:
-# hermitize with and without k_diag, then evolve_norm_check on the same H.
-_last_eig = None
-
-
-def _fresh(arrays: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-    # order="K" keeps left an F-ordered view's layout; a C-order copy would
-    # change the bits of later BLAS products.
-    return tuple(x.copy(order="K") for x in arrays)
+# The last factorization no call has reused yet, as {"entry": (key, (w, v, left))}.
+# Each call takes the entry out with one atomic pop, so a stored array reaches
+# at most one caller and no thread can pair one key with another entry's
+# arrays.  The entry serves the next call on the same matrix (hermitize with,
+# after without, k_diag) and is then gone: what a call gets never depends on
+# factorizations older than the one before it.
+_memo: dict = {}
 
 
 def eig_general(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -125,17 +121,16 @@ def eig_general(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarra
 
     Notes
     -----
-    The last successful result is memoized under the exact bytes of the
-    complex128 input and ``tol.defective_cond``; a repeat call returns fresh
-    copies of it, bit for bit what a recomputation gives at a fixed BLAS
-    thread count.
+    A successful result is kept, under the exact bytes of the complex128
+    input and ``tol.defective_cond``, until the next call.  If that call has
+    the same key it gets the kept copy, bit for bit what a recomputation
+    gives at a fixed BLAS thread count; either way the copy is released.
     """
-    global _last_eig
     a = as_square_matrix(m)
     key = (a.shape, a.tobytes(), tol.defective_cond)
-    entry = _last_eig
+    entry = _memo.pop("entry", None)
     if entry is not None and entry[0] == key:
-        return _fresh(entry[1])
+        return entry[1]
     w, v = np.linalg.eig(a)
     order = np.lexsort((w.imag, w.real))
     w = w[order]
@@ -156,7 +151,9 @@ def eig_general(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarra
             vinv = np.linalg.inv(v)
     # Inverting the right basis biorthonormalizes exactly, degenerate blocks included.
     result = (w, v, vinv.conj().T)
-    _last_eig = (key, _fresh(result))
+    # order="K" keeps left, an F-ordered view, F-ordered; a C-order copy
+    # would change the bits of later BLAS products.
+    _memo["entry"] = (key, tuple(x.copy(order="K") for x in result))
     return result
 
 

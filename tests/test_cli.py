@@ -259,19 +259,6 @@ class TestHermitizeCommand:
         assert main(["hermitize", path, "--tol-residual", "1e-17"]) == 5
         capsys.readouterr()
 
-    def test_tol_defective_flag(self, tmp_path, capsys):
-        # cond(V) of this dimer is about 14.1
-        path = write_h(tmp_path, "h.json", dimer_hamiltonian(1.0, 0.99))
-        assert main(["hermitize", path]) == 0
-        default_out = capsys.readouterr().out
-        assert main(["hermitize", path, "--tol-defective", "1e8"]) == 0
-        assert capsys.readouterr().out == default_out
-        assert main(["hermitize", path, "--tol-defective", "10"]) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("DefectiveMatrix: eigenvector basis condition 1.411e+01 exceeds 1.0e+01")
-        assert main(["hermitize", path, "--tol-defective", "0"]) == 2
-        capsys.readouterr()
-
     def test_unknown_flag_exit(self, tmp_path, capsys):
         path = write_h(tmp_path, "h.json", DIMER_H)
         assert main(["hermitize", path, "--frobnicate"]) == 2
@@ -360,20 +347,6 @@ class TestScanCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 6
         assert all(line.endswith("false") for line in lines[1:])
-
-    def test_tol_defective_flag(self, capsys):
-        # the grid point gamma = kappa has cond(V) of about 5e15
-        argv = ["scan", "--kappa", "1", "--gamma-min", "0.98", "--gamma-max", "1.02",
-                "--step", "0.01"]
-        assert main(argv) == 0
-        default_out = capsys.readouterr().out
-        assert main(argv + ["--tol-defective", "1e8"]) == 0
-        assert capsys.readouterr().out == default_out
-        assert "true" in default_out
-        assert main(argv + ["--tol-defective", "1e300"]) == 0
-        assert capsys.readouterr().out == default_out.replace("true", "false")
-        assert main(argv + ["--tol-defective", "-1"]) == 2
-        capsys.readouterr()
 
     def test_bad_flags_exit(self, capsys):
         assert main(["scan", "--kappa", "1", "--gamma-min", "0", "--gamma-max", "1",
