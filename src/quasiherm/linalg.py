@@ -86,9 +86,9 @@ def _normalize_columns(v: np.ndarray) -> np.ndarray:
 # The last factorization no call has reused yet, as {"entry": (key, (w, v, left))}.
 # Each call takes the entry out with one atomic pop, so a stored array reaches
 # at most one caller and no thread can pair one key with another entry's
-# arrays.  The entry serves the next call on the same matrix (hermitize with,
-# after without, k_diag) and is then gone: what a call gets never depends on
-# factorizations older than the one before it.
+# arrays.  The entry serves the next call if it is on the same matrix, as
+# hermitize(h, k_diag=k) right after hermitize(h), and is then gone, so what a
+# call gets never depends on factorizations older than the one before it.
 _memo: dict = {}
 
 
