@@ -12,9 +12,8 @@ from itertools import chain
 
 import numpy as np
 
-from .dyson import HermitizationReport, Metric
+from .dyson import HermitizationReport, Metric, quasi_hermiticity_residual
 from .linalg import Tolerances
-from .observables import is_quasi_hermitian
 
 __all__ = [
     "MatrixFileError",
@@ -220,8 +219,8 @@ def compat_document(result, h1: np.ndarray, h2: np.ndarray, tol: Tolerances) -> 
     }
     if result.theta is not None:
         entries["residuals"] = {
-            "quasi_hermiticity_h1": is_quasi_hermitian(h1, result.theta),
-            "quasi_hermiticity_h2": is_quasi_hermitian(h2, result.theta),
+            "quasi_hermiticity_h1": quasi_hermiticity_residual(h1, result.theta),
+            "quasi_hermiticity_h2": quasi_hermiticity_residual(h2, result.theta),
         }
         entries["metric"] = _matrix_doc(result.theta.theta)
     return _ordered(entries)

@@ -3,9 +3,10 @@
 Every Hermitian generator M yields an observable A = Theta^{-1} M that is
 quasi-Hermitian with respect to Theta and therefore has real spectrum.  The
 converse question, whether two Hamiltonians admit one common metric, is
-decided in the eigenbasis of a Hamiltonian with simple real spectrum: there
-every Hermitian solution is a real combination of the projectors onto its left
-kets, so positivity reduces to a sign test on a small real null space.
+decided in the eigenbasis of a base Hamiltonian: every metric it admits is
+L W L† over its left kets L, with W Hermitian and block diagonal over its
+eigenvalue clusters, so the Hermitian solutions of both constraints form a
+small real null space, and for a simple spectrum positivity is a sign test.
 """
 
 from __future__ import annotations
@@ -99,48 +100,61 @@ def check_diagonal_center(a, map_i: DysonMap, tol: Tolerances = DEFAULT_TOL) -> 
     return fro(off) <= tol.residual_rel * (fro(am) or 1.0)
 
 
-def _simple_base(mats, tol: Tolerances) -> tuple[np.ndarray | None, bool]:
-    """(left kets of the base or None, whether none is simple and a spectrum was complex).
+def _base(mats, tol: Tolerances) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], bool]:
+    """(unit kets K, pairs i < j that W may couple, whether a complex spectrum proves none).
 
-    Of H1 and H2 the one with the larger smallest gap relative to its norm has
-    the better determined eigenprojectors; H1 + t H2 is tried if neither is simple.
+    A real spectrum splits into clusters at the gaps, relative to its norm,
+    above ``tol.reality_rel``.  The smallest sum of squared cluster sizes
+    wins, then the larger smallest gap: of two simple spectra the better
+    separated has the better determined eigenprojectors.  H1 + t H2 is tried
+    only if neither is simple.  Kets are the normalized left kets, those of a
+    cluster orthonormalized; with no diagonalizable real candidate, K = I.
     """
-    a1, a2 = mats
-    best, best_gap, complex_seen = None, tol.reality_rel, False
-    for b in (a1, a2, None):
-        if b is None:
-            if best is not None:
-                break
-            b = a1 + _MIX * a2
+    n = len(mats[0])
+    best, complex_seen = None, False
+    for b in (*mats, None):
+        if b is None and best is not None and best[0][0] == n:  # a simple spectrum
+            break
+        b = mats[0] + _MIX * mats[1] if b is None else b
         try:
             system = solve_schrodinger_pair(b, tol)
-        except DefectiveMatrix:
-            continue
-        except ComplexSpectrum:
-            complex_seen = True
+        except (DefectiveMatrix, ComplexSpectrum) as exc:
+            complex_seen |= isinstance(exc, ComplexSpectrum)
             continue
         gaps = np.diff(system.energies) / (fro(b) or 1.0)
-        gap = gaps.min() if gaps.size else np.inf
-        if gap > best_gap:
-            best, best_gap = system.left_kets, gap
-    return best, complex_seen and best is None
+        gap = gaps.min(initial=np.inf)
+        if gap > tol.reality_rel:
+            key = (n, -gap)
+        else:  # the sum of squared cluster sizes, then the smallest gap between clusters
+            split = gaps > tol.reality_rel
+            sizes = np.bincount(np.cumsum(np.r_[0, split]))
+            key = (np.sum(sizes * sizes), -gaps[split].min(initial=np.inf))
+        if best is None or key < best[0]:
+            best = key, system.left_kets, gaps
+    if best is None:
+        return np.eye(n, dtype=np.complex128), np.triu_indices(n, 1), complex_seen
+    (squares, _gap), left, gaps = best
+    kets = left / np.linalg.norm(left, axis=0)
+    if squares == n:
+        return kets, (np.empty(0, int), np.empty(0, int)), False
+    labels = np.r_[0, np.cumsum(gaps > tol.reality_rel)]
+    for j in np.flatnonzero(np.bincount(labels) > 1):
+        kets[:, labels == j] = np.linalg.qr(kets[:, labels == j])[0]
+    return kets, np.nonzero(np.triu(labels[:, None] == labels, 1)), complex_seen
 
 
-def _hermitian_units(n: int) -> np.ndarray:
-    """Stacked orthonormal basis of the n x n Hermitian matrices under Re tr(A† B).
+def _units(kets: np.ndarray, iu: np.ndarray, ju: np.ndarray) -> np.ndarray:
+    """Stacked Hermitian basis of K W K† over W's diagonal and its pairs (iu, ju).
 
-    Diagonal units first, then symmetric and antisymmetric off-diagonal pairs
-    scaled by 1/sqrt(2).
+    k_i k_i† for each i, then the Hermitian and i times the anti-Hermitian
+    parts of k_i k_j† for each pair, times sqrt(2) (for K = I: matrix units).
     """
-    iu, ju = np.triu_indices(n, 1)
-    sym = n + np.arange(iu.size)
-    anti = sym + iu.size
-    r = np.sqrt(0.5)
-    units = np.zeros((n * n, n, n), dtype=np.complex128)
-    units[np.arange(n), np.arange(n), np.arange(n)] = 1.0
-    units[sym, iu, ju] = units[sym, ju, iu] = r
-    units[anti, iu, ju], units[anti, ju, iu] = 1j * r, -1j * r
-    return units
+    diagonal = np.einsum("ik,jk->kij", kets, kets.conj())
+    if not iu.size:
+        return diagonal
+    off = np.einsum("ik,jk->kij", kets[:, iu], kets[:, ju].conj())
+    adj, r = off.conj().transpose(0, 2, 1), np.sqrt(0.5)
+    return np.concatenate([diagonal, (off + adj) * r, (off - adj) * (1j * r)])
 
 
 def _certify(candidate: np.ndarray, mats, tol: Tolerances) -> Metric | None:
@@ -160,60 +174,46 @@ def _certify(candidate: np.ndarray, mats, tol: Tolerances) -> Metric | None:
 def shared_metric(h1, h2, tol: Tolerances = DEFAULT_TOL, seed: int = 0) -> SharedMetricResult:
     """Decide whether one metric Theta serves both h1 and h2.
 
-    The base B is whichever of h1, h2 has a simple real spectrum (the better
-    separated one if both do), else h1 + t h2 for a fixed irrational t.  Every
-    Hermitian Theta with B† Theta = Theta B is sum_k e_k P_k over the
-    projectors P_k = l_k l_k† / |l_k|^2 onto the left kets of B, e real, and
-    the constraints of h1 and h2 are real-linear in e.  Their null space, from
-    a thin SVD with an absolute cutoff that keeps every e whose Theta passes
-    the ``tol.residual_rel`` residual checks, splits into blocks with disjoint
-    supports: a positive e exists exactly when the projection p of the
-    all-ones vector is entrywise positive.  Then the answer is Found with
-    Theta = sum_k p_k P_k, else NoSharedMetric.
-
-    Without a simple base (degenerate or defective spectra) the null space is
-    taken over all Hermitian matrices.  A complex spectrum among the
-    candidates proves NoSharedMetric, since a shared metric serves every real
-    combination of h1 and h2.  Otherwise only the projection of the identity
-    is tried: an empty space or a line with an indefinite generator is
-    NoSharedMetric, any other failure Inconclusive.  A candidate failing its
-    certificate is Inconclusive too.  A returned metric has trace n and passes
-    both residual checks and the positivity check.
+    Every Hermitian Theta with B† Theta = Theta B, for the base B that
+    ``_base`` picks from h1, h2 and h1 + t h2 (t fixed and irrational), is
+    K W K† with W block diagonal over B's eigenvalue clusters.  The
+    constraints of h1 and h2 are real-linear in W; their null space, from a
+    thin SVD whose cutoff keeps every Theta that passes the
+    ``tol.residual_rel`` checks, is tried at the projection of W = I.  For a
+    simple base W is diagonal and the null space splits into blocks with
+    disjoint supports, so a metric exists exactly when that projection is
+    entrywise positive.  Otherwise a complex spectrum among the candidates
+    proves NoSharedMetric (a shared metric serves every real combination of
+    h1 and h2), as does an empty space or a line whose generator fails; else
+    Inconclusive.  A returned metric has trace n and passes every check.
 
     ``seed`` is accepted for compatibility and has no effect.
     """
-    a1 = as_square_matrix(h1)
-    a2 = as_square_matrix(h2)
+    mats = a1, a2 = as_square_matrix(h1), as_square_matrix(h2)
     if a1.shape != a2.shape:
         raise ValueError("h1 and h2 must have the same dimension")
-    n = a1.shape[0]
-    mats = (a1, a2)
-    left, proven = _simple_base(mats, tol)
-    if left is None:
-        basis, reach = _hermitian_units(n), 1.0
-    else:
-        lhat = left / np.linalg.norm(left, axis=0)
-        basis, reach = np.einsum("ik,jk->kij", lhat, lhat.conj()), np.linalg.norm(lhat, 2)
+    kets, (iu, ju), proven = _base(mats, tol)
+    basis = _units(kets, iu, ju)
 
     # Real constraint matrix: one column per basis element B, the real and
     # imaginary parts of A† B - B A stacked over both Hamiltonians.
-    parts = [(a.conj().T @ basis - basis @ a).reshape(len(basis), n * n).T for a in mats]
+    parts = [(a.conj().T @ basis - basis @ a).reshape(len(basis), -1).T for a in mats]
     stacked = np.concatenate([r for c in parts for r in (c.real, c.imag)])
     _u, svals, vt = np.linalg.svd(stacked, full_matrices=False)
-    # ||Theta(x)||_F <= reach * |x|, so a Theta that passes both residual
-    # checks has a coefficient vector x with |C x| below this cutoff.
-    cutoff = tol.residual_rel * np.hypot(fro(a1), fro(a2)) * reach
+    # Unit kets, orthonormal within a cluster, give ||Theta(x)||_F <= ||K||_2 |x|,
+    # so a Theta that passes both residual checks has |C x| below this cutoff.
+    cutoff = tol.residual_rel * np.hypot(fro(a1), fro(a2)) * np.linalg.norm(kets, 2)
     null = vt[int(np.sum(svals > cutoff)):].T
     dim = null.shape[1]
-    # Projection of the basis traces: the all-ones vector for the projectors,
-    # the identity for the orthonormal units.
+    # Projection of the basis traces, which are 1 on the diagonal of W and 0 off it.
     x = null @ (null.T @ np.trace(basis, axis1=1, axis2=2).real)
-    blocked = left is not None and not x.min() > tol.positivity_rel * np.abs(x).max()
+    blocked = not iu.size and not x.min() > tol.positivity_rel * np.abs(x).max()
     if proven or dim == 0 or blocked:
         return SharedMetricResult(status="NoSharedMetric", theta=None, solution_space_dim=dim)
     theta = _certify(np.tensordot(x, basis, axes=1), mats, tol)
     if theta is not None:
         return SharedMetricResult(status="Found", theta=theta, solution_space_dim=dim)
-    # The identity projects onto a definite generator of a line.
-    status = "NoSharedMetric" if left is None and dim == 1 else "Inconclusive"
+    # In any basis a positive definite Theta has positive trace, so on a line
+    # only the projected generator can be a metric.
+    status = "NoSharedMetric" if iu.size and dim == 1 else "Inconclusive"
     return SharedMetricResult(status=status, theta=None, solution_space_dim=dim)

@@ -4,6 +4,8 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import (
     dimer_hamiltonian,
@@ -26,6 +28,8 @@ from quasiherm import (
     shared_metric,
     solve_schrodinger_pair,
 )
+from quasiherm import observables
+from quasiherm.linalg import DEFAULT_TOL, as_square_matrix, fro
 
 DIMER_H = dimer_hamiltonian(1.25, 0.75)
 DIMER_THETA = np.array([[1.25, -0.75j], [0.75j, 1.25]])
@@ -196,6 +200,70 @@ def _independent_pairs():
         yield f"n{n}/independent", _random_h(n, rng), _random_h(n, rng)
 
 
+def _dimer_pairs():
+    yield "dimer/h^2", DIMER_H, DIMER_H @ DIMER_H
+    yield "dimer/sigma_z", DIMER_H, SIGMA_Z
+    yield "dimer/itself", DIMER_H, DIMER_H
+    other = dimer_hamiltonian(0.8, -0.5)
+    yield "dimer/2h+h^3", other, 2.0 * other + other @ other @ other
+
+
+def _frame(n):
+    """Real similarity S = randn(n, n) + 3I from default_rng(1) and its inverse."""
+    s = np.random.default_rng(1).standard_normal((n, n)) + 3.0 * np.eye(n)
+    return s, np.linalg.inv(s)
+
+
+def _degenerate_pair(n):
+    # diag(0^{n/2}, 1^{n/2}) and diag(1, 1, 0^{n-2}) in one frame: both share
+    # S^-dagger S^-1, and neither spectrum is simple.
+    s, s_inv = _frame(n)
+    d1 = np.r_[np.zeros(n // 2), np.ones(n - n // 2)]
+    d2 = np.r_[1.0, 1.0, np.zeros(n - 2)]
+    return s @ np.diag(d1) @ s_inv, s @ np.diag(d2) @ s_inv
+
+
+def _reference_simple(h1, h2, tol=DEFAULT_TOL):
+    """(status, theta or None, dimension) from the projector decision on a simple base.
+
+    The computation as it stood before the block eigenbasis: of h1 and h2 the
+    simple one with the larger smallest relative gap, the projectors onto its
+    normalized left kets, the thin SVD, cutoff and trace projection, then the
+    sign test and ``_certify``.
+    """
+    mats = a1, a2 = as_square_matrix(h1), as_square_matrix(h2)
+    n = a1.shape[0]
+    left, best_gap = None, tol.reality_rel
+    for b in mats:
+        system = solve_schrodinger_pair(b, tol)
+        gap = (np.diff(system.energies) / (fro(b) or 1.0)).min()
+        if gap > best_gap:
+            left, best_gap = system.left_kets, gap
+    lhat = left / np.linalg.norm(left, axis=0)
+    basis = np.einsum("ik,jk->kij", lhat, lhat.conj())
+    parts = [(a.conj().T @ basis - basis @ a).reshape(n, n * n).T for a in mats]
+    stacked = np.concatenate([r for c in parts for r in (c.real, c.imag)])
+    _u, svals, vt = np.linalg.svd(stacked, full_matrices=False)
+    cutoff = tol.residual_rel * np.hypot(fro(a1), fro(a2)) * np.linalg.norm(lhat, 2)
+    null = vt[int(np.sum(svals > cutoff)):].T
+    x = null @ (null.T @ np.trace(basis, axis1=1, axis2=2).real)
+    dim = null.shape[1]
+    if dim == 0 or not x.min() > tol.positivity_rel * np.abs(x).max():
+        return "NoSharedMetric", None, dim
+    theta = observables._certify(np.tensordot(x, basis, axes=1), mats, tol)
+    return ("Inconclusive" if theta is None else "Found"), theta, dim
+
+
+@st.composite
+def _shared_frame(draw):
+    """(S, D1, D2): a frame with cond(S) <= 1e3 and diagonals over {0, 1, 2}."""
+    n = draw(st.integers(2, 12))
+    s = random_real_spectrum(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n,
+                             cond_cap=1e3)[2]
+    diagonal = st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=n, max_size=n)
+    return s, np.diag(draw(diagonal)), np.diag(draw(diagonal))
+
+
 class TestSharedMetricDecision:
     """Regression cases for the eigenbasis decision; every status is a decision."""
 
@@ -302,3 +370,58 @@ class TestSharedMetricDecision:
         result = shared_metric(h1, h2)
         assert result.status == status
         assert result.solution_space_dim == n - 1
+
+    @pytest.mark.parametrize("n,dim", [(16, 104), (24, 248)])
+    def test_degenerate_pair_found(self, n, dim):
+        # Both spectra are degenerate and so is H1 + t H2, so the decision runs
+        # in the block eigenbasis of the combination: clusters of 2, n/2 - 2, n/2.
+        h1, h2 = _degenerate_pair(n)
+        result = shared_metric(h1, h2)
+        assert result.status == "Found"
+        assert result.solution_space_dim == dim
+        assert quasi_hermiticity_residual(h1, result.theta) <= 1e-10
+        assert quasi_hermiticity_residual(h2, result.theta) <= 1e-10
+        assert result.theta.min_eigenvalue > 0
+
+    def test_squared_partner_of_degenerate_pair_found(self):
+        n = 16
+        s, s_inv = _frame(n)
+        h2 = s @ np.diag(np.r_[np.ones(n - 2), 0.0, 0.0]) @ s_inv
+        h1 = s @ np.diag(np.r_[0.0, 0.0, np.ones(n - 2)]) @ s_inv
+        result = shared_metric(h1, h2 @ h2)
+        assert result.status == "Found"
+        assert quasi_hermiticity_residual(h1, result.theta) <= 1e-10
+        assert quasi_hermiticity_residual(h2 @ h2, result.theta) <= 1e-10
+
+    def test_block_complex_pair_has_none(self):
+        # No candidate has a real spectrum: the n^2 Hermitian units decide.
+        b = np.kron(np.eye(12), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        result = shared_metric(b, b)
+        assert result.status == "NoSharedMetric"
+        assert result.solution_space_dim == 288
+
+    def test_jordan_pair_inconclusive(self):
+        j = np.array([[0.0, 1.0], [0.0, 0.0]])
+        result = shared_metric(j, j)
+        assert result.status == "Inconclusive"
+        assert result.solution_space_dim == 2
+
+    @pytest.mark.parametrize(
+        "label,h1,h2", list(_sharing_pairs()) + list(_independent_pairs()) + list(_dimer_pairs())
+    )
+    def test_simple_base_bits_match_reference(self, label, h1, h2):
+        status, theta, dim = _reference_simple(h1, h2)
+        result = shared_metric(h1, h2)
+        assert (result.status, result.solution_space_dim) == (status, dim), label
+        if theta is None:
+            assert result.theta is None, label
+        else:
+            assert result.theta.theta.tobytes() == theta.theta.tobytes(), label
+
+    @given(_shared_frame())
+    def test_shared_frame_pairs_found(self, frame):
+        s, d1, d2 = frame
+        s_inv = np.linalg.inv(s)
+        h1, h2 = s @ d1 @ s_inv, s @ d2 @ s_inv
+        assert shared_metric(h1, h2).status == "Found"
+        assert shared_metric(h2, h1).status == "Found"
