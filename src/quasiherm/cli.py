@@ -22,7 +22,7 @@ from .errors import (
     ModelDomainError,
     QuasihermError,
 )
-from .linalg import Tolerances
+from .linalg import DEFAULT_TOL, Tolerances
 from .matfile import (
     MatrixFileError,
     compat_document,
@@ -45,12 +45,12 @@ __all__ = ["main"]
 
 
 def _add_tol_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol-residual", type=float, default=1e-10, metavar="X",
-                     help="relative residual tolerance (default 1e-10)")
-    sub.add_argument("--tol-reality", type=float, default=1e-9, metavar="X",
-                     help="relative eigenvalue reality tolerance (default 1e-9)")
-    sub.add_argument("--tol-positivity", type=float, default=1e-12, metavar="X",
-                     help="relative positivity threshold (default 1e-12)")
+    sub.add_argument("--tol-residual", type=float, default=DEFAULT_TOL.residual_rel, metavar="X",
+                     help="relative residual tolerance (default %(default)g)")
+    sub.add_argument("--tol-reality", type=float, default=DEFAULT_TOL.reality_rel, metavar="X",
+                     help="relative eigenvalue reality tolerance (default %(default)g)")
+    sub.add_argument("--tol-positivity", type=float, default=DEFAULT_TOL.positivity_rel,
+                     metavar="X", help="relative positivity threshold (default %(default)g)")
 
 
 def _tolerances(args: argparse.Namespace) -> Tolerances:
@@ -155,6 +155,8 @@ def cmd_compat(args: argparse.Namespace) -> int:
         return 0
     if result.status == "NoSharedMetric":
         return 7
+    print(f"Inconclusive: the candidate from a {result.solution_space_dim}-dimensional "
+          "solution space failed its metric certificate", file=sys.stderr)
     return 8
 
 
@@ -218,7 +220,7 @@ def main(argv=None) -> int:
         # LinAlgError subclasses ValueError.
         print(f"LinAlgError: {exc}", file=sys.stderr)
         return 5
-    except (MatrixFileError, OSError, ValueError) as exc:
+    except (MatrixFileError, OSError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ComplexSpectrum as exc:

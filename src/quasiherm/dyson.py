@@ -11,7 +11,6 @@ Omega_KU = U K† Omega_I for unitary U (rotated avatar, same metric).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -91,8 +90,7 @@ class DysonMap:
 class Metric:
     """Physical metric Theta = Omega† Omega, certified positive definite.
 
-    eigenvalues is the spectrum of theta, ascending.  The principal square
-    root sqrt_theta is computed on first access.
+    eigenvalues is the spectrum of theta, ascending.
     """
 
     theta: np.ndarray
@@ -101,13 +99,6 @@ class Metric:
     @property
     def min_eigenvalue(self) -> float:
         return float(self.eigenvalues[0])
-
-    @cached_property
-    def sqrt_theta(self) -> np.ndarray:
-        # theta passed its positivity gate when certified; no second gate on
-        # the eigh spectrum, so reading the root cannot fail afterwards.
-        lam, u = np.linalg.eigh(self.theta)
-        return herm_part((u * np.sqrt(lam)) @ u.conj().T)
 
 
 @dataclass(frozen=True)
@@ -245,16 +236,10 @@ def hermitian_dyson(dyson_map: DysonMap, tol: Tolerances = DEFAULT_TOL) -> tuple
 
     Writing Omega = W P by right polar decomposition, u = W† does the job:
     u Omega u = P W† = (W P)† and u Omega = P, the square root of the metric of
-    Omega.  Returns (u, omega_herm).
+    Omega.  Returns (u, P), with P exactly Hermitian.
     """
-    u = _polar_unitary(dyson_map.omega, tol)
-    return u, u @ dyson_map.omega
-
-
-def _polar_unitary(omega: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """u = W† from the right polar decomposition Omega = W P."""
-    w, _p = polar_decompose(omega, tol)
-    return w.conj().T
+    w, p = polar_decompose(dyson_map.omega, tol)
+    return w.conj().T, p
 
 
 def phys_inner(metric, psi, phi) -> complex:
@@ -322,8 +307,7 @@ def hermitize(h, k_diag=None, hermitian_map: bool = False, tol: Tolerances = DEF
     if k_diag is not None:
         dmap = build_omega_K(dmap, k_diag, tol)
     if hermitian_map:
-        # hermitian_dyson's u, without the product u Omega it also returns
-        dmap = build_omega_KU(dmap, _polar_unitary(dmap.omega, tol), tol)
+        dmap = build_omega_KU(dmap, hermitian_dyson(dmap, tol)[0], tol)
     metric = metric_of(dmap, tol)
     avatar = hermitian_avatar(h, dmap, tol)
     report = build_report(h, system, dmap, metric, avatar, tol)

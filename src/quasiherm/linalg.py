@@ -140,8 +140,11 @@ def eig_general(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarra
     except np.linalg.LinAlgError:
         vinv = None
     # ||V||_F ||V^-1||_F bounds the 2-norm condition from above; the factor 2
-    # dwarfs its rounding error, so the SVD runs only where it can decide.
-    if vinv is None or not fro(v) * fro(vinv) <= 0.5 * tol.defective_cond:
+    # dwarfs its rounding error, so the SVD runs only where it can decide.  On
+    # a Jordan block the norm of V^-1 overflows; an infinite bound goes to the SVD.
+    with np.errstate(over="ignore"):
+        bound = fro(v) * fro(vinv) if vinv is not None else np.inf
+    if not bound <= 0.5 * tol.defective_cond:
         cond = np.linalg.cond(v)
         if not np.isfinite(cond) or cond > tol.defective_cond:
             raise DefectiveMatrix(

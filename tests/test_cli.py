@@ -9,7 +9,7 @@ import pytest
 
 from helpers import dimer_hamiltonian, random_real_spectrum
 from quasiherm import DEFAULT_TOL, Metric, hermitize
-from quasiherm.cli import main
+from quasiherm.cli import _tolerances, build_parser, main
 from quasiherm.matfile import (
     MatrixFileError,
     dump_matrix,
@@ -320,6 +320,21 @@ class TestModelCommand:
         assert main(["model", "fermion", "--alpha", "1", "--out-dir", str(tmp_path)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flags", [("--omega", "1", "--alpha", "1000"),
+                                       ("--kappa", "1e300", "--gamma", "0")])
+    def test_overflowing_parameters_exit(self, tmp_path, flags):
+        proc = run_cli("model", "dimer", *flags, "--out-dir", str(tmp_path))
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+class TestToleranceFlags:
+    @pytest.mark.parametrize("argv", [["hermitize", "h.json"], ["model", "dimer"],
+                                      ["compat", "h1.json", "h2.json"]])
+    def test_defaults_are_library_defaults(self, argv):
+        assert _tolerances(build_parser().parse_args(argv)) == DEFAULT_TOL
+
 
 class TestScanCommand:
     def test_grid_and_single_ep_run(self, capsys):
@@ -447,3 +462,13 @@ class TestDeterminism:
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
         assert "ComplexSpectrum" in proc.stderr
+
+    @pytest.mark.parametrize("command,code,name", [("hermitize", 4, "DefectiveMatrix"),
+                                                   ("compat", 8, "Inconclusive")])
+    def test_jordan_block_one_line_diagnosis(self, tmp_path, command, code, name):
+        # the eigenbasis bound of a Jordan block overflows; no numpy warning may follow
+        path = write_h(tmp_path, "j.json", [[0.0, 1.0], [0.0, 0.0]])
+        proc = run_cli(command, *[path] * (1 if command == "hermitize" else 2))
+        assert proc.returncode == code
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"{name}: "), proc.stderr

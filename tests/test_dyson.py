@@ -3,6 +3,8 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import dimer_hamiltonian, random_k_diag, random_real_spectrum, random_unitary
 from quasiherm import (
@@ -28,7 +30,7 @@ from quasiherm import (
     quasi_hermiticity_residual,
     solve_schrodinger_pair,
 )
-from quasiherm.linalg import hermiticity_residual
+from quasiherm.linalg import fro, herm_sqrt, hermiticity_residual
 from quasiherm.models import FermionicParams, dimer_build, dimer_from_coupling, fermionic_build
 
 LOG2 = np.log(2.0)
@@ -162,7 +164,7 @@ class TestMetric:
         dmap = DysonMap(omega=np.eye(3), omega_inv=np.eye(3), family="I")
         metric = metric_of(dmap)
         assert np.allclose(metric.theta, np.eye(3))
-        assert np.allclose(metric.sqrt_theta, np.eye(3))
+        assert np.allclose(herm_sqrt(metric.theta), np.eye(3))
         assert metric.min_eigenvalue == pytest.approx(1.0)
 
     def test_closed_dimer_map(self):
@@ -179,27 +181,13 @@ class TestMetric:
 
     def test_sqrt_consistency(self):
         metric = metric_of(closed_dimer_map())
-        assert np.linalg.norm(metric.sqrt_theta @ metric.sqrt_theta - metric.theta) < 1e-14
+        root = herm_sqrt(metric.theta)
+        assert np.linalg.norm(root @ root - metric.theta) < 1e-14
 
     def test_singular_map_rejected(self):
         dmap = DysonMap(omega=np.diag([1.0, 0.0]), omega_inv=np.eye(2), family="I")
         with pytest.raises(NotPositiveDefinite):
             metric_of(dmap)
-
-    def test_sqrt_theta_is_lazy(self, rng):
-        h, _energies, _s = random_real_spectrum(rng, 8)
-        _sys, _dmap, metric, _avatar, _report = hermitize(h)
-        assert "sqrt_theta" not in metric.__dict__
-        root = metric.sqrt_theta
-        assert np.linalg.norm(root @ root - metric.theta) < 1e-14 * np.linalg.norm(metric.theta)
-        assert metric.sqrt_theta is root
-
-    def test_sqrt_theta_of_loosely_certified_metric(self):
-        # certified under a looser positivity gate than the default one; the
-        # root is read without a second gate
-        tol = Tolerances(positivity_rel=1e-16)
-        metric = metric_from_theta(np.diag([1.0, 1e-14]), tol)
-        assert np.allclose(metric.sqrt_theta, np.diag([1.0, 1e-7]), rtol=1e-14, atol=0)
 
     def test_report_condition_from_metric_spectrum(self, rng):
         h, _energies, _s = random_real_spectrum(rng, 16, cond_cap=1e3)
@@ -335,6 +323,46 @@ class TestHermitianDyson:
         _u, omega_herm = hermitian_dyson(dmap)
         _w_ref, p_ref = scipy.linalg.polar(dmap.omega, side="right")
         assert np.linalg.norm(omega_herm - p_ref) < 1e-11
+
+
+def _k_family(seed, n):
+    """A random H, its biorthogonal system, K and the map Omega_K."""
+    rng = np.random.default_rng(seed)
+    h, _energies, _s = random_real_spectrum(rng, n)
+    system = solve_schrodinger_pair(h)
+    k = random_k_diag(rng, n)
+    return h, system, k, build_omega_K(build_omega_I(system), k)
+
+
+class TestDysonProperties:
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8))
+    def test_polar_factor_is_the_metric_root(self, seed, n):
+        _h, _system, _k, dmap = _k_family(seed, n)
+        _u, p = hermitian_dyson(dmap)
+        assert np.array_equal(p, p.conj().T)
+        root = herm_sqrt(metric_of(dmap).theta)
+        assert fro(p - root) <= 1e-12 * fro(root)
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8))
+    def test_k_family_metric_is_l_k2_l_dagger(self, seed, n):
+        _h, system, k, dmap = _k_family(seed, n)
+        left = system.left_kets
+        expected = (left * np.abs(k) ** 2) @ left.conj().T
+        assert fro(metric_of(dmap).theta - expected) <= 1e-12 * fro(expected)
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8))
+    def test_polar_rotation_keeps_metric_and_avatar_spectrum(self, seed, n):
+        h, _system, _k, dmap = _k_family(seed, n)
+        u, _p = hermitian_dyson(dmap)
+        rotated = build_omega_KU(dmap, u)
+        theta = metric_of(dmap).theta
+        assert fro(metric_of(rotated).theta - theta) <= 1e-12 * fro(theta)
+        spectrum = np.linalg.eigvalsh(hermitian_avatar(h, dmap))
+        rotated_spectrum = np.linalg.eigvalsh(hermitian_avatar(h, rotated))
+        assert np.max(np.abs(rotated_spectrum - spectrum)) <= 1e-12 * fro(h)
 
 
 class TestPhysInner:

@@ -29,7 +29,7 @@ from quasiherm import (
     solve_schrodinger_pair,
 )
 from quasiherm import observables
-from quasiherm.linalg import DEFAULT_TOL, as_square_matrix, fro
+from quasiherm.linalg import DEFAULT_TOL, as_square_matrix, fro, herm_sqrt
 
 DIMER_H = dimer_hamiltonian(1.25, 0.75)
 DIMER_THETA = np.array([[1.25, -0.75j], [0.75j, 1.25]])
@@ -93,7 +93,7 @@ class TestAvatarOfObservable:
     def test_observable_avatar_is_hermitian_with_matched_spectrum(self):
         cand = observable_from_M(dimer_metric(), SIGMA_Z)
         # any Dyson map with metric Theta hermitizes every Theta-observable
-        root = dimer_metric().sqrt_theta
+        root = herm_sqrt(dimer_metric().theta)
         dmap = DysonMap(omega=root, omega_inv=np.linalg.inv(root), family="KU")
         avatar = avatar_of_observable(cand.a_matrix, dmap)
         assert np.linalg.norm(avatar - avatar.conj().T) < 1e-12
@@ -119,7 +119,7 @@ class TestCheckDiagonalCenter:
         assert not check_diagonal_center(SIGMA_Z, dmap)
 
     def test_requires_reference_family(self):
-        root = dimer_metric().sqrt_theta
+        root = herm_sqrt(dimer_metric().theta)
         dmap = DysonMap(omega=root, omega_inv=np.linalg.inv(root), family="KU")
         with pytest.raises(ValueError):
             check_diagonal_center(DIMER_H, dmap)
