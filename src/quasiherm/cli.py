@@ -16,15 +16,9 @@ from .dyson import (
     metric_from_theta,
     solve_schrodinger_pair,
 )
-from .errors import (
-    ComplexSpectrum,
-    DefectiveMatrix,
-    ModelDomainError,
-    QuasihermError,
-)
+from .errors import QuasihermError
 from .linalg import DEFAULT_TOL, Tolerances
 from .matfile import (
-    MatrixFileError,
     compat_document,
     emit_json,
     load_matrix_file,
@@ -81,28 +75,32 @@ def cmd_hermitize(args: argparse.Namespace) -> int:
 
 def cmd_model(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
-    if args.name == "dimer":
-        if args.kappa is not None or args.gamma is not None:
-            if args.kappa is None or args.gamma is None:
-                raise ValueError("dimer needs both --kappa and --gamma")
-            if args.omega is not None or args.alpha is not None:
-                raise ValueError("give either --omega/--alpha or --kappa/--gamma, not both")
-            p = dimer_from_coupling(args.kappa, args.gamma)
+    try:
+        if args.name == "dimer":
+            if args.kappa is not None or args.gamma is not None:
+                if args.kappa is None or args.gamma is None:
+                    raise ValueError("dimer needs both --kappa and --gamma")
+                if args.omega is not None or args.alpha is not None:
+                    raise ValueError("give either --omega/--alpha or --kappa/--gamma, not both")
+                p = dimer_from_coupling(args.kappa, args.gamma)
+            else:
+                if args.omega is None or args.alpha is None:
+                    raise ValueError("dimer needs --omega and --alpha (or --kappa and --gamma)")
+                p = dimer_params(args.omega, args.alpha)
+            h_small, omega_map, big_h, theta = dimer_build(p)
+            omega_inv = np.linalg.inv(omega_map)
         else:
-            if args.omega is None or args.alpha is None:
-                raise ValueError("dimer needs --omega and --alpha (or --kappa and --gamma)")
-            p = dimer_params(args.omega, args.alpha)
-        h_small, omega_map, big_h, theta = dimer_build(p)
-        omega_inv = np.linalg.inv(omega_map)
-        family = "dimer"
-    else:
-        if args.alpha is None or args.beta is None or args.omega is None:
-            raise ValueError("fermion needs --alpha, --beta and --omega")
-        p = FermionicParams(alpha=args.alpha, beta=args.beta, omega=args.omega)
-        big_h, h_small, omega_inv, omega_map, theta = fermionic_build(p)
-        family = "fermion"
+            if args.alpha is None or args.beta is None or args.omega is None:
+                raise ValueError("fermion needs --alpha, --beta and --omega")
+            p = FermionicParams(alpha=args.alpha, beta=args.beta, omega=args.omega)
+            big_h, h_small, omega_inv, omega_map, theta = fermionic_build(p)
+    except OverflowError:
+        given = " ".join(f"--{flag} {getattr(args, flag):g}"
+                         for flag in ("omega", "alpha", "beta", "kappa", "gamma")
+                         if getattr(args, flag) is not None)
+        raise ValueError(f"{args.name} parameters {given} overflow the float range") from None
 
-    dmap = DysonMap(omega=omega_map, omega_inv=omega_inv, family=family)
+    dmap = DysonMap(omega=omega_map, omega_inv=omega_inv, family=args.name)
     system = solve_schrodinger_pair(big_h, tol)
     metric = metric_from_theta(theta, tol)
     avatar = hermitian_avatar(big_h, dmap, tol)
@@ -147,8 +145,6 @@ def cmd_compat(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     h1 = load_matrix_file(args.h1)
     h2 = load_matrix_file(args.h2)
-    if h1.shape != h2.shape:
-        raise MatrixFileError("the two matrices must have the same dimension")
     result = shared_metric(h1, h2, tol=tol, seed=args.seed)
     print(emit_json(compat_document(result, h1, h2, tol)))
     if result.status == "Found":
@@ -220,21 +216,13 @@ def main(argv=None) -> int:
         # LinAlgError subclasses ValueError.
         print(f"LinAlgError: {exc}", file=sys.stderr)
         return 5
-    except (MatrixFileError, OSError, OverflowError, ValueError) as exc:
+    except (OSError, OverflowError, ValueError) as exc:
+        # malformed input or flags; MatrixFileError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ComplexSpectrum as exc:
-        print(f"ComplexSpectrum: {exc}", file=sys.stderr)
-        return 3
-    except DefectiveMatrix as exc:
-        print(f"DefectiveMatrix: {exc}", file=sys.stderr)
-        return 4
-    except ModelDomainError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 6
     except QuasihermError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 5
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -143,16 +143,19 @@ def build_omega_K(base: DysonMap, k_diag, tol: Tolerances = DEFAULT_TOL) -> Dyso
     """Rescale the reference map row-wise by the conjugated diagonal of K.
 
     The avatar is unchanged (K commutes with the diagonal avatar of Omega_I)
-    while the metric picks up |k_n|^2 weights.  Raises SingularScaling when any
-    entry of K is at or below ``tol.positivity_rel`` in magnitude.
+    while the metric picks up |k_n|^2 weights.  Raises SingularScaling when the
+    smallest |k_n| is at or below ``tol.positivity_rel`` times the largest.
     """
     if base.family != "I":
         raise ValueError("build_omega_K expects the reference family 'I' map")
     k = np.asarray(k_diag, dtype=np.complex128).ravel()
     if k.size != base.dimension:
         raise ValueError(f"k_diag has {k.size} entries for dimension {base.dimension}")
-    if np.any(np.abs(k) <= tol.positivity_rel):
-        raise SingularScaling("k_diag entries must be bounded away from zero")
+    mags = np.abs(k)
+    if mags.min() <= tol.positivity_rel * mags.max():
+        raise SingularScaling(
+            f"smallest |k_n| {mags.min():.3e} at or below {tol.positivity_rel:g} * {mags.max():.3e}"
+        )
     omega = k.conj()[:, None] * base.omega
     omega_inv = base.omega_inv / k.conj()[None, :]
     return DysonMap(omega=omega, omega_inv=omega_inv, family="K", k_diag=k)

@@ -2,15 +2,24 @@
 
 
 class QuasihermError(Exception):
-    """Base class for every controlled numerical failure."""
+    """Base class for every controlled numerical failure.
+
+    exit_code is the command-line exit status of the failure class.
+    """
+
+    exit_code = 5
 
 
 class DefectiveMatrix(QuasihermError):
     """Eigenbasis too ill-conditioned to trust; the matrix sits at or near an exceptional point."""
 
+    exit_code = 4
+
 
 class ComplexSpectrum(QuasihermError):
     """An eigenvalue has an imaginary part beyond the reality tolerance."""
+
+    exit_code = 3
 
 
 class NotHermitian(QuasihermError):
@@ -47,6 +56,8 @@ class NotHermitianGenerator(QuasihermError):
 
 class ModelDomainError(QuasihermError):
     """Base class for model-parameter violations."""
+
+    exit_code = 6
 
 
 class EPRegion(ModelDomainError):

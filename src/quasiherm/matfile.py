@@ -8,6 +8,7 @@ digits, so identical inputs always produce identical bytes.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from itertools import chain
 
 import numpy as np
@@ -25,19 +26,6 @@ __all__ = [
     "compat_document",
     "emit_json",
 ]
-
-REPORT_KEY_ORDER = (
-    "energies",
-    "family",
-    "status",
-    "solution_space_dim",
-    "residuals",
-    "metric",
-    "avatar",
-    "passed",
-    "tolerances",
-)
-
 
 class MatrixFileError(ValueError):
     """Raised when a matrix document does not satisfy the schema."""
@@ -166,24 +154,11 @@ def _emit(value, indent: int) -> str:
 
 
 def emit_json(doc) -> str:
-    """Render a document with fixed key order and .17g float formatting.
+    """Render a document in its dict key order with .17g float formatting.
 
     An (entries, 2) float array renders as its list of [re, im] pairs would.
     """
     return _emit(doc, 0)
-
-
-def _ordered(entries: dict) -> dict:
-    return {key: entries[key] for key in REPORT_KEY_ORDER if key in entries}
-
-
-def _tol_map(tol: Tolerances) -> dict:
-    return {
-        "residual_rel": tol.residual_rel,
-        "reality_rel": tol.reality_rel,
-        "positivity_rel": tol.positivity_rel,
-        "defective_cond": tol.defective_cond,
-    }
 
 
 def report_document(
@@ -192,35 +167,30 @@ def report_document(
     avatar: np.ndarray,
     tol: Tolerances,
 ) -> dict:
-    return _ordered(
-        {
-            "energies": [float(e) for e in report.energies],
-            "family": report.family,
-            "residuals": {
-                "quasi_hermiticity": report.residual_quasi_herm,
-                "avatar_hermiticity": report.residual_avatar_herm,
-                "isospectrality": report.residual_isospectral,
-                "metric_condition": report.metric_condition,
-            },
-            "metric": _matrix_doc(metric.theta),
-            "avatar": _matrix_doc(avatar),
-            "passed": report.passed,
-            "tolerances": _tol_map(tol),
-        }
-    )
+    return {
+        "energies": [float(e) for e in report.energies],
+        "family": report.family,
+        "residuals": {
+            "quasi_hermiticity": report.residual_quasi_herm,
+            "avatar_hermiticity": report.residual_avatar_herm,
+            "isospectrality": report.residual_isospectral,
+            "metric_condition": report.metric_condition,
+        },
+        "metric": _matrix_doc(metric.theta),
+        "avatar": _matrix_doc(avatar),
+        "passed": report.passed,
+        "tolerances": asdict(tol),
+    }
 
 
 def compat_document(result, h1: np.ndarray, h2: np.ndarray, tol: Tolerances) -> dict:
-    entries = {
-        "status": result.status,
-        "solution_space_dim": result.solution_space_dim,
-        "passed": result.status == "Found",
-        "tolerances": _tol_map(tol),
-    }
+    doc = {"status": result.status, "solution_space_dim": result.solution_space_dim}
     if result.theta is not None:
-        entries["residuals"] = {
+        doc["residuals"] = {
             "quasi_hermiticity_h1": quasi_hermiticity_residual(h1, result.theta),
             "quasi_hermiticity_h2": quasi_hermiticity_residual(h2, result.theta),
         }
-        entries["metric"] = _matrix_doc(result.theta.theta)
-    return _ordered(entries)
+        doc["metric"] = _matrix_doc(result.theta.theta)
+    doc["passed"] = result.status == "Found"
+    doc["tolerances"] = asdict(tol)
+    return doc

@@ -77,12 +77,13 @@ def dimer_params(omega: float, alpha: float) -> DimerParams:
     """Dimer parameters from the Hermitian splitting and the map rapidity."""
     if not omega > 0:
         raise ValueError("omega must be positive")
-    return DimerParams(
-        omega=omega,
-        alpha=alpha,
-        kappa=omega * math.cosh(alpha),
-        gamma=omega * math.sinh(alpha),
-    )
+    kappa, gamma = omega * math.cosh(alpha), omega * math.sinh(alpha)
+    if abs(gamma) >= kappa:
+        raise EPRegion(
+            f"alpha = {alpha:g}: omega cosh(alpha) and omega |sinh(alpha)| round to the same "
+            "float64, which puts the dimer on its exceptional point"
+        )
+    return DimerParams(omega=omega, alpha=alpha, kappa=kappa, gamma=gamma)
 
 
 def dimer_from_coupling(kappa: float, gamma: float) -> DimerParams:
@@ -188,7 +189,8 @@ class FermionicParams:
     alpha and beta are the unequal pairing weights; their product must be
     positive for a real spectrum.  omega in (0, 1) splits the single-particle
     energies into omega and 1 - omega.  The closed forms degenerate when the
-    determinant D vanishes, which is rejected as SingularDysonMap.
+    determinant D vanishes, which is rejected as SingularDysonMap; couplings
+    whose sqrt(alpha beta) or D leave the float range raise OverflowError.
     """
 
     alpha: float
@@ -200,6 +202,8 @@ class FermionicParams:
             raise ValueError("omega must lie strictly between 0 and 1")
         if not self.alpha * self.beta > 0:
             raise InvalidCoupling("alpha * beta must be positive")
+        if not (math.isfinite(self.sqrt_ab) and math.isfinite(self.det_D)):
+            raise OverflowError("sqrt(alpha beta) or D lies beyond the float range")
         if abs(self.det_D) <= DEFAULT_TOL.positivity_rel:
             raise SingularDysonMap("determinant D vanishes at these couplings")
 

@@ -6,9 +6,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import dimer_hamiltonian, random_real_spectrum
-from quasiherm import DEFAULT_TOL, Metric, hermitize
+from quasiherm import DEFAULT_TOL, Metric, errors, hermitize
 from quasiherm.cli import _tolerances, build_parser, main
 from quasiherm.matfile import (
     MatrixFileError,
@@ -185,6 +187,31 @@ class TestEmitterBytes:
         assert emit_json(doc) == reference_emit(doc) == '{\n  "rows": 0,\n  "cols": 0,\n  "data": []\n}'
 
 
+def float_bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestReportRoundTrip:
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8),
+           zeros=st.lists(st.integers(0, 2**16), min_size=1, max_size=4))
+    def test_json_returns_the_float_bits(self, seed, n, zeros):
+        h, _energies, _s = random_real_spectrum(np.random.default_rng(seed), n, cond_cap=1e3)
+        _sys, _dmap, metric, avatar, report = hermitize(h)
+        # plant negative zeros, whose sign a plain "%.17g" would drop
+        floats = [report.energies, metric.theta.view(np.float64), avatar.view(np.float64)]
+        for z in zeros:
+            target = floats[z % 3].reshape(-1)
+            target[z % target.size] = -0.0
+        doc = json.loads(emit_json(report_document(report, metric, avatar, DEFAULT_TOL)))
+        assert float_bits(doc["energies"]) == float_bits(report.energies)
+        residuals = [report.residual_quasi_herm, report.residual_avatar_herm,
+                     report.residual_isospectral, report.metric_condition]
+        assert float_bits(list(doc["residuals"].values())) == float_bits(residuals)
+        assert float_bits(doc["metric"]["data"]) == metric.theta.tobytes()
+        assert float_bits(doc["avatar"]["data"]) == avatar.tobytes()
+
+
 class TestHermitizeCommand:
     def test_dimer_passes(self, tmp_path, capsys):
         path = write_h(tmp_path, "h.json", DIMER_H)
@@ -320,13 +347,30 @@ class TestModelCommand:
         assert main(["model", "fermion", "--alpha", "1", "--out-dir", str(tmp_path)]) == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("flags", [("--omega", "1", "--alpha", "1000"),
-                                       ("--kappa", "1e300", "--gamma", "0")])
+    @pytest.mark.parametrize("flags", [
+        ("dimer", "--omega", "1", "--alpha", "1000"),
+        ("dimer", "--kappa", "1e300", "--gamma", "0"),
+        ("fermion", "--alpha", "1e200", "--beta", "1e-200", "--omega", "0.3"),
+        ("fermion", "--alpha", "1e300", "--beta", "1e300", "--omega", "0.3"),
+    ])
     def test_overflowing_parameters_exit(self, tmp_path, flags):
-        proc = run_cli("model", "dimer", *flags, "--out-dir", str(tmp_path))
+        proc = run_cli("model", *flags, "--out-dir", str(tmp_path))
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert len(lines) == 1 and lines[0].startswith(f"error: {flags[0]} parameters "), proc.stderr
+        assert lines[0].endswith(" overflow the float range")
+        assert all(flag in lines[0] for flag in flags[1::2])
+
+    def test_rapidity_beyond_float64_exit(self, tmp_path, capsys):
+        assert main(["model", "dimer", "--omega", "1", "--alpha", "20",
+                     "--out-dir", str(tmp_path)]) == 6
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("EPRegion: alpha = 20: ")
+        assert "round to the same float64" in lines[0]
+        # below the rounding the metric gate decides, as before
+        assert main(["model", "dimer", "--omega", "1", "--alpha", "18",
+                     "--out-dir", str(tmp_path)]) == 5
+        assert capsys.readouterr().err.startswith("NotPositiveDefinite: ")
 
 
 class TestToleranceFlags:
@@ -387,6 +431,23 @@ class TestNumericalFailure:
         assert err.count("\n") == 1
         assert err.startswith("LinAlgError: SVD did not converge")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("cls", [
+        cls for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.QuasihermError)
+    ], ids=lambda cls: cls.__name__)
+    def test_failure_class_exit_codes(self, tmp_path, capsys, monkeypatch, cls):
+        # the exit-code table of README, one row per failure class
+        expected = {"ComplexSpectrum": 3, "DefectiveMatrix": 4, "ModelDomainError": 6,
+                    "EPRegion": 6, "InvalidCoupling": 6, "SingularDysonMap": 6}
+        assert cls.exit_code == expected.get(cls.__name__, 5)
+
+        def failing(*_args, **_kwargs):
+            raise cls("measured 1 against 0")
+
+        monkeypatch.setattr("quasiherm.cli.hermitize", failing)
+        assert main(["hermitize", write_h(tmp_path, "h.json", DIMER_H)]) == cls.exit_code
+        assert capsys.readouterr().err == f"{cls.__name__}: measured 1 against 0\n"
 
 
 class TestImports:

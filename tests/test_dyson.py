@@ -132,6 +132,16 @@ class TestOmegaFamilies:
         with pytest.raises(SingularScaling):
             hermitize(DIMER_H, k_diag=[1e-4, 1.0], tol=Tolerances(positivity_rel=1e-3))
 
+    def test_omega_K_gate_is_scale_relative(self):
+        # k = 1e-13 * [1, 1] is the k = [1, 1] map times a scalar; only the spread is gated
+        tiny = hermitize(DIMER_H, k_diag=[1e-13, 1e-13])
+        huge = hermitize(DIMER_H, k_diag=[1e13, 1e13])
+        assert tiny[4].passed and huge[4].passed
+        assert tiny[4].metric_condition == pytest.approx(4.0, rel=1e-12)
+        assert huge[4].metric_condition == pytest.approx(4.0, rel=1e-12)
+        with pytest.raises(SingularScaling, match="smallest"):
+            hermitize(DIMER_H, k_diag=[1e-13, 1.0])
+
     def test_omega_KU_rotates_avatar_keeps_metric(self, rng):
         dmap = build_omega_K(build_omega_I(solve_schrodinger_pair(DIMER_H)), [2.0, 0.5])
         u = random_unitary(rng, 2)
@@ -363,6 +373,28 @@ class TestDysonProperties:
         spectrum = np.linalg.eigvalsh(hermitian_avatar(h, dmap))
         rotated_spectrum = np.linalg.eigvalsh(hermitian_avatar(h, rotated))
         assert np.max(np.abs(rotated_spectrum - spectrum)) <= 1e-12 * fro(h)
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), c=st.floats(1e-3, 1e3))
+    def test_scaling_scales_energies_and_keeps_metric(self, seed, n, c):
+        h, _energies, _s = random_real_spectrum(np.random.default_rng(seed), n, cond_cap=1e3)
+        _sys, _dmap, metric, _avatar, report = hermitize(h)
+        _sys, _dmap, scaled_metric, _avatar, scaled = hermitize(c * h)
+        expected = c * report.energies
+        assert np.max(np.abs(scaled.energies - expected)) <= 1e-8 * np.max(np.abs(expected))
+        assert fro(scaled_metric.theta - metric.theta) <= 1e-8 * fro(metric.theta)
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8))
+    def test_unitary_similarity_rotates_metric_keeps_avatar(self, seed, n):
+        rng = np.random.default_rng(seed)
+        h, _energies, _s = random_real_spectrum(rng, n, cond_cap=1e3)
+        u = random_unitary(rng, n)
+        _sys, _dmap, metric, avatar, _report = hermitize(h)
+        _sys, _dmap, rotated_metric, rotated_avatar, _report = hermitize(u @ h @ u.conj().T)
+        expected = u @ metric.theta @ u.conj().T
+        assert fro(rotated_metric.theta - expected) <= 1e-8 * fro(expected)
+        assert fro(rotated_avatar - avatar) <= 1e-8 * fro(avatar)
 
 
 class TestPhysInner:

@@ -77,6 +77,14 @@ class TestDimerParams:
         with pytest.raises(EPRegion):
             DimerParams(omega=1.0, alpha=0.0, kappa=1.0, gamma=1.0)
 
+    def test_rapidity_beyond_float64_names_the_rounding(self):
+        # cosh(20) - sinh(20) = e^-20 is below half an ulp of cosh(20)
+        assert math.cosh(20.0) == math.sinh(20.0)
+        for alpha in (20.0, -20.0):
+            with pytest.raises(EPRegion, match=r"alpha = -?20: .* round to the same float64"):
+                dimer_params(1.0, alpha)
+        assert dimer_params(1.0, 18.0).kappa > dimer_params(1.0, 18.0).gamma
+
     def test_bad_scalars_rejected(self):
         with pytest.raises(ValueError):
             dimer_params(-1.0, 0.0)
@@ -231,6 +239,12 @@ class TestFermionicParams:
         root5 = math.sqrt(5.0)
         with pytest.raises(SingularDysonMap):
             FermionicParams(alpha=(3.0 + root5) / 2.0, beta=(3.0 - root5) / 2.0, omega=0.5)
+
+    @pytest.mark.parametrize("alpha,beta", [(1e300, 1e300), (-1e300, -1e300), (1e200, 1e100)])
+    def test_overflowing_closed_forms_rejected(self, alpha, beta):
+        # alpha beta or D leaves the float range; the D gate alone would let a NaN through
+        with pytest.raises(OverflowError):
+            FermionicParams(alpha=alpha, beta=beta, omega=0.3)
 
 
 class TestFermionicBuild:
