@@ -94,11 +94,13 @@ def cmd_model(args: argparse.Namespace) -> int:
                 raise ValueError("fermion needs --alpha, --beta and --omega")
             p = FermionicParams(alpha=args.alpha, beta=args.beta, omega=args.omega)
             big_h, h_small, omega_inv, omega_map, theta = fermionic_build(p)
-    except OverflowError:
+    except ArithmeticError as exc:
+        # OverflowError, or the models' FloatingPointError for an underflow
+        limit = "underflow" if isinstance(exc, FloatingPointError) else "overflow"
         given = " ".join(f"--{flag} {getattr(args, flag):g}"
                          for flag in ("omega", "alpha", "beta", "kappa", "gamma")
                          if getattr(args, flag) is not None)
-        raise ValueError(f"{args.name} parameters {given} overflow the float range") from None
+        raise ValueError(f"{args.name} parameters {given} {limit} the float range") from None
 
     dmap = DysonMap(omega=omega_map, omega_inv=omega_inv, family=args.name)
     system = solve_schrodinger_pair(big_h, tol)

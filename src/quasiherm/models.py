@@ -15,6 +15,7 @@ sqrt(alpha beta) and the determinant D = 2 alpha beta
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,9 +75,16 @@ class DimerParams:
 
 
 def dimer_params(omega: float, alpha: float) -> DimerParams:
-    """Dimer parameters from the Hermitian splitting and the map rapidity."""
+    """Dimer parameters from the Hermitian splitting and the map rapidity.
+
+    Raises FloatingPointError when omega is below the smallest normal float,
+    where kappa and gamma lose digits; a normal omega keeps
+    kappa = omega cosh(alpha) >= omega normal too.
+    """
     if not omega > 0:
         raise ValueError("omega must be positive")
+    if omega < sys.float_info.min:
+        raise FloatingPointError(f"omega = {omega:g} underflows the float range")
     kappa, gamma = omega * math.cosh(alpha), omega * math.sinh(alpha)
     if abs(gamma) >= kappa:
         raise EPRegion(
@@ -87,15 +95,23 @@ def dimer_params(omega: float, alpha: float) -> DimerParams:
 
 
 def dimer_from_coupling(kappa: float, gamma: float) -> DimerParams:
-    """Invert (kappa, gamma) to (omega, alpha); raises EPRegion when |gamma| >= kappa."""
+    """Invert (kappa, gamma) to (omega, alpha).
+
+    Raises EPRegion when |gamma| >= kappa, and FloatingPointError when
+    kappa^2 - gamma^2 = omega^2 is below the smallest normal float, where omega
+    would be zero or lose precision.
+    """
     if not kappa > 0:
         raise ValueError("kappa must be positive")
     if abs(gamma) >= kappa:
         raise EPRegion(
             f"|gamma| = {abs(gamma):g} >= kappa = {kappa:g}: spectrum is not real here"
         )
+    omega_sq = kappa**2 - gamma**2
+    if omega_sq < sys.float_info.min:
+        raise FloatingPointError(f"kappa^2 - gamma^2 = {omega_sq:g} underflows the float range")
     return DimerParams(
-        omega=math.sqrt(kappa**2 - gamma**2),
+        omega=math.sqrt(omega_sq),
         alpha=math.atanh(gamma / kappa),
         kappa=kappa,
         gamma=gamma,
@@ -149,6 +165,23 @@ class EPScanReport:
     ep_locations: np.ndarray
 
 
+def _cond_2x2(v: np.ndarray) -> np.ndarray:
+    """Exact 2-norm condition numbers of a stack of 2x2 matrices, inf where singular.
+
+    With rows (a, b) and (c, d), p = |a|^2 + |b|^2, q = |c|^2 + |d|^2 and
+    r = a c* + b d*, the squared singular values have difference
+    hypot(p - q, 2|r|) and product |ad - bc|^2, so
+    cond = (p + q + hypot(p - q, 2|r|)) / (2 |ad - bc|).  No square root of a
+    difference is taken, so nothing cancels on well-conditioned (unitary) inputs.
+    """
+    a, b, c, d = v[:, 0, 0], v[:, 0, 1], v[:, 1, 0], v[:, 1, 1]
+    p, q = (v.real**2 + v.imag**2).sum(axis=2).T
+    r = a * c.conj() + b * d.conj()
+    det = a * d - b * c
+    with np.errstate(divide="ignore"):
+        return (p + q + np.hypot(p - q, 2.0 * np.abs(r))) / (2.0 * np.abs(det))
+
+
 def ep_scan(kappa: float, gamma_grid, tol: Tolerances = DEFAULT_TOL) -> EPScanReport:
     """Scan gamma values for exceptional points of H = kappa sigma_x + i gamma sigma_z."""
     if not kappa > 0:
@@ -164,7 +197,7 @@ def ep_scan(kappa: float, gamma_grid, tol: Tolerances = DEFAULT_TOL) -> EPScanRe
     d = w[:, 0] - w[:, 1]
     # hypot matches the scalar abs() of each gap bit for bit; np.abs can differ by 1 ulp.
     gaps = np.hypot(d.real, d.imag)
-    conds = np.linalg.cond(v)
+    conds = _cond_2x2(v)
 
     scale = np.sqrt(2.0 * kappa**2 + 2.0 * grid**2)
     flags = (gaps < 1e-6 * scale) & (conds > tol.defective_cond)

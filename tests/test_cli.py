@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -361,6 +363,19 @@ class TestModelCommand:
         assert lines[0].endswith(" overflow the float range")
         assert all(flag in lines[0] for flag in flags[1::2])
 
+    @pytest.mark.parametrize("flags,given", [
+        (("--kappa", "1e-170", "--gamma", "0"), "--kappa 1e-170 --gamma 0"),
+        (("--kappa", "1e-200", "--gamma", "5e-201"), "--kappa 1e-200 --gamma 5e-201"),
+        # the subnormal 1e-320 parses to 9.99989e-321
+        (("--omega", "1e-320", "--alpha", "0.5"), "--omega 9.99989e-321 --alpha 0.5"),
+    ])
+    def test_underflowing_parameters_exit(self, tmp_path, flags, given):
+        proc = run_cli("model", "dimer", *flags, "--out-dir", str(tmp_path))
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"error: dimer parameters {given} underflow the float range"
+        ], proc.stderr
+
     def test_rapidity_beyond_float64_exit(self, tmp_path, capsys):
         assert main(["model", "dimer", "--omega", "1", "--alpha", "20",
                      "--out-dir", str(tmp_path)]) == 6
@@ -533,3 +548,14 @@ class TestDeterminism:
         assert proc.returncode == code
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"{name}: "), proc.stderr
+
+
+class TestReadme:
+    def test_python_examples_run(self):
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(encoding="utf-8"),
+                            flags=re.M | re.S)
+        assert blocks
+        for block in blocks:
+            proc = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from helpers import dimer_hamiltonian
 from quasiherm import (
+    DefectiveMatrix,
     DimerParams,
     EPRegion,
     FermionicParams,
@@ -14,10 +18,12 @@ from quasiherm import (
     dimer_build,
     dimer_from_coupling,
     dimer_params,
+    eig_general,
     ep_scan,
     fermionic_build,
     fermionic_from_fock,
 )
+from quasiherm.models import _cond_2x2
 
 LOG2 = math.log(2.0)
 
@@ -45,6 +51,18 @@ def ep_scan_reference(kappa, grid, tol=Tolerances()):
         else:
             i += 1
     return gaps, conds, flags, np.asarray(locations, dtype=float)
+
+
+def assert_cond_matches(cond, ref):
+    """cond agrees with ref to 8 eps ref^2, the first-order error of sigma_min.
+
+    An exactly singular matrix reads inf; allowed only where ref >= 1 / (8 eps),
+    so the first-order bound already spans a relative error of one.
+    """
+    eps = np.finfo(float).eps
+    finite = np.isfinite(cond)
+    assert np.all(ref[~finite] >= 1.0 / (8.0 * eps))
+    assert np.all(np.abs(cond[finite] - ref[finite]) <= 8.0 * eps * ref[finite] ** 2)
 
 
 class TestDimerParams:
@@ -202,9 +220,48 @@ class TestEpScan:
         assert flags.tolist()[below:below + 5] == [True, True, False, True, True]
         report = ep_scan(kappa, grid, tol)
         assert np.array_equal(report.min_gap, gaps)
-        assert np.array_equal(report.eigvec_cond, conds)
+        assert_cond_matches(report.eigvec_cond, conds)
         assert np.array_equal(report.is_ep, flags)
         assert np.array_equal(report.ep_locations, locations)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_closed_form_condition_matches_svd(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = (32, 2, 2)
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        u = np.linalg.qr(g)[0]
+        w = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
+        # singular values 1 and s, so cond = 1/s, up to 1e14
+        s = np.stack([np.ones(32), 10.0 ** rng.uniform(-14.0, 0.0, 32)], axis=1)
+        nearly_singular = (u * s[:, None, :]) @ w.conj().transpose(0, 2, 1)
+        # determinant exactly 0: inf, without a division warning
+        singular = np.array([[[1.0, 2.0], [2.0, 4.0]]])
+        v = np.concatenate([g, u, nearly_singular, singular])
+        assert_cond_matches(_cond_2x2(v), np.linalg.cond(v))
+
+    @given(
+        log_kappa=st.floats(-3.0, 3.0),
+        log_delta=st.floats(-16.0, -1.0),
+        sign=st.sampled_from([1.0, -1.0]),
+        side=st.sampled_from([1.0, -1.0]),
+        threshold=st.sampled_from([1e4, 1e8]),
+    )
+    def test_near_ep_classification_agrees_with_eig_general(
+        self, log_kappa, log_delta, sign, side, threshold
+    ):
+        # gamma = +-kappa (1 -+ delta): inside (side 1) or beyond (side -1) the EP, never on it
+        kappa = 10.0**log_kappa
+        gamma = sign * kappa * (1.0 - side * 10.0**log_delta)
+        assume(abs(gamma) != kappa)
+        tol = Tolerances(defective_cond=threshold)
+        cond = ep_scan(kappa, [gamma], tol).eigvec_cond[0]
+        assume(abs(cond - threshold) > 1e-6 * threshold)
+        try:
+            eig_general(dimer_hamiltonian(kappa, gamma), tol)
+            defective = False
+        except DefectiveMatrix:
+            defective = True
+        assert defective == (cond > threshold)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

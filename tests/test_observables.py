@@ -418,6 +418,17 @@ class TestSharedMetricDecision:
         else:
             assert result.theta.theta.tobytes() == theta.theta.tobytes(), label
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 8),
+        coefficients=st.lists(st.floats(0.5, 2.0) | st.floats(-2.0, -0.5), min_size=1, max_size=4),
+    )
+    def test_polynomial_partners_found(self, seed, n, coefficients):
+        h = _random_h(n, np.random.default_rng(seed))
+        p = sum(c * np.linalg.matrix_power(h, k) for k, c in enumerate(coefficients))
+        assert shared_metric(h, p).status == "Found"
+        assert shared_metric(p, h).status == "Found"
+
     @given(_shared_frame())
     def test_shared_frame_pairs_found(self, frame):
         s, d1, d2 = frame
