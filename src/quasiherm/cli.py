@@ -37,6 +37,14 @@ from .observables import shared_metric
 
 __all__ = ["main"]
 
+# The model flags in --help order, and for each model the flag sets it accepts,
+# each with the constructor that takes those flags' values in that order.
+_MODEL_FLAGS = ("omega", "alpha", "beta", "kappa", "gamma")
+_MODEL_FLAG_SETS = {
+    "dimer": {("omega", "alpha"): dimer_params, ("kappa", "gamma"): dimer_from_coupling},
+    "fermion": {("alpha", "beta", "omega"): FermionicParams},
+}
+
 
 def _add_tol_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--tol-residual", type=float, default=DEFAULT_TOL.residual_rel, metavar="X",
@@ -75,32 +83,25 @@ def cmd_hermitize(args: argparse.Namespace) -> int:
 
 def cmd_model(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
+    given = [flag for flag in _MODEL_FLAGS if getattr(args, flag) is not None]
+    accepted = _MODEL_FLAG_SETS[args.name]
+    chosen = next((flags for flags in accepted if set(flags) == set(given)), None)
+    if chosen is None:
+        sets = ", or ".join(" ".join(f"--{flag}" for flag in flags) for flags in accepted)
+        named = " ".join(f"--{flag}" for flag in given) or "none"
+        raise ValueError(f"{args.name} takes {sets}; given: {named}")
     try:
+        p = accepted[chosen](*(getattr(args, flag) for flag in chosen))
         if args.name == "dimer":
-            if args.kappa is not None or args.gamma is not None:
-                if args.kappa is None or args.gamma is None:
-                    raise ValueError("dimer needs both --kappa and --gamma")
-                if args.omega is not None or args.alpha is not None:
-                    raise ValueError("give either --omega/--alpha or --kappa/--gamma, not both")
-                p = dimer_from_coupling(args.kappa, args.gamma)
-            else:
-                if args.omega is None or args.alpha is None:
-                    raise ValueError("dimer needs --omega and --alpha (or --kappa and --gamma)")
-                p = dimer_params(args.omega, args.alpha)
             h_small, omega_map, big_h, theta = dimer_build(p)
             omega_inv = np.linalg.inv(omega_map)
         else:
-            if args.alpha is None or args.beta is None or args.omega is None:
-                raise ValueError("fermion needs --alpha, --beta and --omega")
-            p = FermionicParams(alpha=args.alpha, beta=args.beta, omega=args.omega)
             big_h, h_small, omega_inv, omega_map, theta = fermionic_build(p)
     except ArithmeticError as exc:
         # OverflowError, or the models' FloatingPointError for an underflow
         limit = "underflow" if isinstance(exc, FloatingPointError) else "overflow"
-        given = " ".join(f"--{flag} {getattr(args, flag):g}"
-                         for flag in ("omega", "alpha", "beta", "kappa", "gamma")
-                         if getattr(args, flag) is not None)
-        raise ValueError(f"{args.name} parameters {given} {limit} the float range") from None
+        values = " ".join(f"--{flag} {getattr(args, flag)!r}" for flag in given)
+        raise ValueError(f"{args.name} parameters {values} {limit} the float range") from None
 
     dmap = DysonMap(omega=omega_map, omega_inv=omega_inv, family=args.name)
     system = solve_schrodinger_pair(big_h, tol)
@@ -147,7 +148,7 @@ def cmd_compat(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     h1 = load_matrix_file(args.h1)
     h2 = load_matrix_file(args.h2)
-    result = shared_metric(h1, h2, tol=tol, seed=args.seed)
+    result = shared_metric(h1, h2, tol=tol)
     print(emit_json(compat_document(result, h1, h2, tol)))
     if result.status == "Found":
         return 0
@@ -177,11 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_model = subs.add_parser("model", help="emit the matrices of a worked model")
     p_model.add_argument("name", choices=("dimer", "fermion"))
-    p_model.add_argument("--omega", type=float, default=None)
-    p_model.add_argument("--alpha", type=float, default=None)
-    p_model.add_argument("--beta", type=float, default=None)
-    p_model.add_argument("--kappa", type=float, default=None)
-    p_model.add_argument("--gamma", type=float, default=None)
+    for flag in _MODEL_FLAGS:
+        p_model.add_argument(f"--{flag}", type=float, default=None)
     p_model.add_argument("--out-dir", default=".", metavar="DIR",
                          help="directory for the emitted MatrixFiles (default .)")
     _add_tol_flags(p_model)
@@ -197,8 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_compat = subs.add_parser("compat", help="decide whether two Hamiltonians share a metric")
     p_compat.add_argument("h1", help="MatrixFile holding the first Hamiltonian")
     p_compat.add_argument("h2", help="MatrixFile holding the second Hamiltonian")
-    p_compat.add_argument("--seed", type=int, default=0,
-                          help="accepted for compatibility; has no effect")
+    # accepted so that older scripts keep running; it never had an effect
+    p_compat.add_argument("--seed", type=int, default=0, help=argparse.SUPPRESS)
     _add_tol_flags(p_compat)
     p_compat.set_defaults(func=cmd_compat)
 

@@ -171,7 +171,7 @@ def _certify(candidate: np.ndarray, mats, tol: Tolerances) -> Metric | None:
         return None
 
 
-def shared_metric(h1, h2, tol: Tolerances = DEFAULT_TOL, seed: int = 0) -> SharedMetricResult:
+def shared_metric(h1, h2, tol: Tolerances = DEFAULT_TOL) -> SharedMetricResult:
     """Decide whether one metric Theta serves both h1 and h2.
 
     Every Hermitian Theta with B† Theta = Theta B, for the base B that
@@ -186,8 +186,6 @@ def shared_metric(h1, h2, tol: Tolerances = DEFAULT_TOL, seed: int = 0) -> Share
     proves NoSharedMetric (a shared metric serves every real combination of
     h1 and h2), as does an empty space or a line whose generator fails; else
     Inconclusive.  A returned metric has trace n and passes every check.
-
-    ``seed`` is accepted for compatibility and has no effect.
     """
     mats = a1, a2 = as_square_matrix(h1), as_square_matrix(h2)
     if a1.shape != a2.shape:

@@ -3,6 +3,7 @@ import json
 import math
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
@@ -100,6 +101,14 @@ class TestMatrixFiles:
         data = [[1.0, 0.0]] * 3 + [[1.0, True]]
         with pytest.raises(MatrixFileError, match=r"data\[3\]"):
             parse_matrix({"rows": 2, "cols": 2, "data": data})
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_entries_exit(self, tmp_path, capsys, literal):
+        # json.load accepts these literals; the finiteness check must refuse them
+        path = tmp_path / "h.json"
+        path.write_text(f'{{"rows": 1, "cols": 2, "data": [[1.0, 0.0], [{literal}, 0.0]]}}')
+        assert main(["hermitize", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: matrix entries must be finite"]
 
     def test_emitter_is_plain_json(self):
         doc = dump_matrix(DIMER_H)
@@ -349,6 +358,22 @@ class TestModelCommand:
         assert main(["model", "fermion", "--alpha", "1", "--out-dir", str(tmp_path)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flags,line", [
+        (("fermion", "--alpha", "4", "--beta", "1", "--omega", "0.3", "--kappa", "5",
+          "--gamma", "2"),
+         "error: fermion takes --alpha --beta --omega; "
+         "given: --omega --alpha --beta --kappa --gamma"),
+        (("dimer", "--omega", "1", "--alpha", "0.5", "--beta", "3"),
+         "error: dimer takes --omega --alpha, or --kappa --gamma; given: --omega --alpha --beta"),
+        (("dimer",), "error: dimer takes --omega --alpha, or --kappa --gamma; given: none"),
+    ], ids=["fermion-with-dimer-flags", "dimer-with-beta", "dimer-without-flags"])
+    def test_other_model_flags_refused(self, tmp_path, capsys, flags, line):
+        out = tmp_path / "out"
+        assert main(["model", *flags, "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [line]
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("flags", [
         ("dimer", "--omega", "1", "--alpha", "1000"),
         ("dimer", "--kappa", "1e300", "--gamma", "0"),
@@ -364,10 +389,12 @@ class TestModelCommand:
         assert all(flag in lines[0] for flag in flags[1::2])
 
     @pytest.mark.parametrize("flags,given", [
-        (("--kappa", "1e-170", "--gamma", "0"), "--kappa 1e-170 --gamma 0"),
+        (("--kappa", "1e-170", "--gamma", "0"), "--kappa 1e-170 --gamma 0.0"),
         (("--kappa", "1e-200", "--gamma", "5e-201"), "--kappa 1e-200 --gamma 5e-201"),
-        # the subnormal 1e-320 parses to 9.99989e-321
-        (("--omega", "1e-320", "--alpha", "0.5"), "--omega 9.99989e-321 --alpha 0.5"),
+        (("--omega", "1e-320", "--alpha", "0.5"), "--omega 1e-320 --alpha 0.5"),
+        # echoed exactly: rounded to 6 digits, gamma would read as kappa, the EP
+        (("--kappa", "1e-150", "--gamma", "9.99999999e-151"),
+         "--kappa 1e-150 --gamma 9.99999999e-151"),
     ])
     def test_underflowing_parameters_exit(self, tmp_path, flags, given):
         proc = run_cli("model", "dimer", *flags, "--out-dir", str(tmp_path))
@@ -508,6 +535,15 @@ class TestCompatCommand:
         assert main(["compat", p1, p2]) == 2
         capsys.readouterr()
 
+    def test_seed_accepted_but_not_listed(self, tmp_path, capsys):
+        p1 = write_h(tmp_path, "h1.json", DIMER_H)
+        assert main(["compat", p1, p1]) == 0
+        plain = capsys.readouterr().out
+        assert main(["compat", p1, p1, "--seed", "3"]) == 0
+        assert capsys.readouterr().out == plain
+        assert main(["compat", "--help"]) == 0
+        assert "--seed" not in capsys.readouterr().out
+
 
 class TestDeterminism:
     def test_hermitize_byte_identical(self, tmp_path):
@@ -550,12 +586,30 @@ class TestDeterminism:
         assert len(lines) == 1 and lines[0].startswith(f"{name}: "), proc.stderr
 
 
+def readme_blocks(language):
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    return re.findall(rf"^```{language}\n(.*?)^```", readme.read_text(encoding="utf-8"),
+                      flags=re.M | re.S)
+
+
 class TestReadme:
     def test_python_examples_run(self):
-        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-        blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(encoding="utf-8"),
-                            flags=re.M | re.S)
+        blocks = readme_blocks("python")
         assert blocks
         for block in blocks:
             proc = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
+
+    def test_shell_examples_run(self, tmp_path):
+        # the documented matrix file stands in for every file the commands name
+        (matrix,) = readme_blocks("json")
+        for name in ("H.json", "H1.json", "H2.json"):
+            (tmp_path / name).write_text(matrix, encoding="utf-8")
+        commands = [shlex.split(line, comments=True)[1:]
+                    for block in readme_blocks("sh") for line in block.splitlines()
+                    if line.startswith("quasiherm ")]
+        assert commands
+        for argv in commands:
+            proc = subprocess.run([sys.executable, "-m", "quasiherm", *argv], cwd=tmp_path,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, (argv, proc.stderr)

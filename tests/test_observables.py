@@ -172,10 +172,24 @@ class TestSharedMetric:
         assert result.status == "Found"
 
     def test_deterministic_under_seed(self):
-        r1 = shared_metric(DIMER_H, DIMER_H, seed=0)
-        r2 = shared_metric(DIMER_H, DIMER_H, seed=0)
+        r1 = shared_metric(DIMER_H, DIMER_H)
+        r2 = shared_metric(DIMER_H, DIMER_H)
         assert r1.status == r2.status
         assert np.array_equal(r1.theta.theta, r2.theta.theta)
+
+    def test_seed_argument_removed(self):
+        with pytest.raises(TypeError):
+            shared_metric(DIMER_H, DIMER_H, seed=0)
+
+    @pytest.mark.parametrize("h1,h2", [(DIMER_H, DIMER_H), (DIMER_H, SIGMA_Z),
+                                       (SIGMA_Z, np.eye(2))])
+    def test_certify_rejects_negative_trace(self, h1, h2):
+        assert observables._certify(-np.eye(2), (h1, h2), DEFAULT_TOL) is None
+
+    def test_certify_rejects_large_residual(self):
+        # I has positive trace and is positive definite, but does not intertwine the dimer
+        assert quasi_hermiticity_residual(DIMER_H, np.eye(2)) == pytest.approx(0.73, abs=0.01)
+        assert observables._certify(np.eye(2), (DIMER_H, DIMER_H), DEFAULT_TOL) is None
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -252,6 +266,28 @@ def _reference_simple(h1, h2, tol=DEFAULT_TOL):
         return "NoSharedMetric", None, dim
     theta = observables._certify(np.tensordot(x, basis, axes=1), mats, tol)
     return ("Inconclusive" if theta is None else "Found"), theta, dim
+
+
+@st.composite
+def _any_pair(draw):
+    """(h1, h2), n = 2-8 and cond(S) <= 1e3, of one of six kinds, sharing a metric or not."""
+    kind = draw(st.sampled_from(["independent", "2h+h^3", "frame", "generic", "-3h", "scalar"]))
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h, _energies, s = random_real_spectrum(rng, n, cond_cap=1e3)
+    if kind == "independent":
+        return h, _random_h(n, rng)
+    if kind == "2h+h^3":
+        return h, 2.0 * h + h @ h @ h
+    if kind == "frame":
+        s_inv = np.linalg.inv(s)
+        d1, d2 = (np.diag(rng.choice([0.0, 1.0, 2.0], n)) for _ in range(2))
+        return s @ d1 @ s_inv, s @ d2 @ s_inv
+    if kind == "generic":  # real, so its spectrum is often complex
+        return h, rng.standard_normal((n, n))
+    if kind == "-3h":
+        return h, -3.0 * h
+    return h, rng.uniform(-2.0, 2.0) * np.eye(n)
 
 
 @st.composite
@@ -428,6 +464,11 @@ class TestSharedMetricDecision:
         p = sum(c * np.linalg.matrix_power(h, k) for k, c in enumerate(coefficients))
         assert shared_metric(h, p).status == "Found"
         assert shared_metric(p, h).status == "Found"
+
+    @given(_any_pair())
+    def test_status_symmetric_for_any_pair(self, pair):
+        h1, h2 = pair
+        assert shared_metric(h1, h2).status == shared_metric(h2, h1).status
 
     @given(_shared_frame())
     def test_shared_frame_pairs_found(self, frame):
