@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -65,15 +66,13 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
 
 def _parse_k_diag(text: str) -> np.ndarray:
     entries = [complex(part.strip().replace(" ", "")) for part in text.split(",") if part.strip()]
-    if not entries:
-        raise ValueError("--k-diag needs at least one entry")
     return np.asarray(entries, dtype=np.complex128)
 
 
 def cmd_hermitize(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     h = load_matrix_file(args.input)
-    k = _parse_k_diag(args.k_diag) if args.k_diag else None
+    k = _parse_k_diag(args.k_diag) if args.k_diag is not None else None
     _system, _dmap, metric, avatar, report = hermitize(
         h, k_diag=k, hermitian_map=args.hermitian_omega, tol=tol
     )
@@ -123,14 +122,20 @@ def cmd_model(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    for flag in ("gamma_min", "gamma_max", "step"):
+        if not math.isfinite(getattr(args, flag)):
+            raise ValueError(f"--{flag.replace('_', '-')} must be finite")
     if args.step <= 0:
         raise ValueError("--step must be positive")
     if args.gamma_max < args.gamma_min:
         raise ValueError("--gamma-max must be at least --gamma-min")
-    if args.kappa <= 0:
-        raise ValueError("--kappa must be positive")
-    count = int(np.floor((args.gamma_max - args.gamma_min) / args.step + 1e-9)) + 1
-    grid = args.gamma_min + np.arange(count) * args.step
+    count = np.floor((args.gamma_max - args.gamma_min) / args.step + 1e-9) + 1
+    try:
+        grid = args.gamma_min + np.arange(int(count)) * args.step
+    except (MemoryError, OverflowError, ValueError):  # beyond memory, numpy's sizes, or inf
+        raise ValueError(
+            f"--step {args.step!r} gives {count:.0f} grid points, too many to allocate"
+        ) from None
     report = ep_scan(args.kappa, grid)
     lines = ["gamma,min_gap,eigvec_cond,is_ep"]
     for g, gap, cond, flag in zip(

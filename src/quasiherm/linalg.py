@@ -3,6 +3,7 @@ Hermitian square roots and exponentials, and the right polar decomposition."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,17 +45,36 @@ DEFAULT_TOL = Tolerances()
 
 
 def as_square_matrix(m) -> np.ndarray:
-    """Coerce to a square complex128 array, rejecting non-finite entries."""
+    """Coerce to a non-empty square complex128 array, rejecting non-finite entries."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
 
+def _sum_squares(re: np.ndarray, im: np.ndarray) -> float:
+    # np.linalg.norm's sum of squares, bit for bit, through np.vdot, which, unlike
+    # ndarray.dot, does not warn when it overflows; nor does a Python float sum.
+    return float(np.vdot(re, re)) + float(np.vdot(im, im))
+
+
 def fro(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m))
+    """Frobenius norm, accurate at every scale of the entries.
+
+    Where the sum of squares cannot have over- or underflowed this is
+    np.linalg.norm bit for bit; elsewhere the sum is taken again with the
+    entries scaled by a power of two, which is exact, to below 1 in magnitude.
+    """
+    x = np.asarray(m).ravel(order="K")
+    norm = math.sqrt(_sum_squares(x.real, x.imag))
+    if 2.0**-500 < norm < 2.0**500 or not x.any():
+        return norm
+    # an inf or NaN entry gives e = 0, and the plain norm again
+    e = math.frexp(max(np.abs(x.real).max(), np.abs(x.imag).max()))[1]
+    norm = math.sqrt(_sum_squares(np.ldexp(x.real, -e), np.ldexp(x.imag, -e)))
+    return norm * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)
 
 
 def herm_part(m: np.ndarray) -> np.ndarray:
@@ -67,7 +87,7 @@ def hermiticity_residual(a: np.ndarray) -> float:
 
 
 def _require_hermitian(a: np.ndarray, rel: float, what: str) -> np.ndarray:
-    if hermiticity_residual(a) > rel:
+    if not hermiticity_residual(a) <= rel:
         raise NotHermitian(f"{what} deviates from Hermiticity beyond {rel:g} relative")
     return herm_part(a)
 
@@ -116,8 +136,8 @@ def eig_general(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarra
     Raises
     ------
     DefectiveMatrix
-        If the right eigenvector basis has a 2-norm condition number above
-        ``tol.defective_cond``, which signals an exceptional point.
+        If the right eigenvector basis is singular or has a 2-norm condition
+        number above ``tol.defective_cond``, which signals an exceptional point.
 
     Notes
     -----
@@ -138,20 +158,15 @@ def eig_general(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarra
     try:
         vinv = np.linalg.inv(v)
     except np.linalg.LinAlgError:
-        vinv = None
+        raise DefectiveMatrix("eigenvector basis is singular") from None
     # ||V||_F ||V^-1||_F bounds the 2-norm condition from above; the factor 2
-    # dwarfs its rounding error, so the SVD runs only where it can decide.  On
-    # a Jordan block the norm of V^-1 overflows; an infinite bound goes to the SVD.
-    with np.errstate(over="ignore"):
-        bound = fro(v) * fro(vinv) if vinv is not None else np.inf
-    if not bound <= 0.5 * tol.defective_cond:
+    # dwarfs its rounding error, so the SVD runs only where it can decide.
+    if not fro(v) * fro(vinv) <= 0.5 * tol.defective_cond:
         cond = np.linalg.cond(v)
-        if not np.isfinite(cond) or cond > tol.defective_cond:
+        if not cond <= tol.defective_cond:
             raise DefectiveMatrix(
                 f"eigenvector basis condition {cond:.3e} exceeds {tol.defective_cond:.1e}"
             )
-        if vinv is None:
-            vinv = np.linalg.inv(v)
     # Inverting the right basis biorthonormalizes exactly, degenerate blocks included.
     result = (w, v, vinv.conj().T)
     # order="K" keeps left, an F-ordered view, F-ordered; a C-order copy
@@ -173,7 +188,7 @@ def herm_sqrt(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         raise NotPositiveDefinite("zero matrix has no positive definite square root")
     sym = _require_hermitian(a, tol.residual_rel, "herm_sqrt input")
     lam, u = np.linalg.eigh(sym)
-    if lam[0] <= tol.positivity_rel * scale:
+    if not lam[0] > tol.positivity_rel * scale:
         raise NotPositiveDefinite(
             f"smallest eigenvalue {lam[0]:.3e} at or below {tol.positivity_rel:g} * {scale:.3e}"
         )
@@ -192,7 +207,7 @@ def polar_decompose(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.nd
     u, s, vh = np.linalg.svd(a)
     gram_spec = s * s
     gram_norm = np.linalg.norm(gram_spec)
-    if gram_spec[-1] <= tol.positivity_rel * gram_norm:
+    if not gram_spec[-1] > tol.positivity_rel * gram_norm:
         raise SingularInput(
             f"polar factor undefined: s_min^2 {gram_spec[-1]:.3e} at or below "
             f"{tol.positivity_rel:g} * {gram_norm:.3e}"

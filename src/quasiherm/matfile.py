@@ -64,7 +64,7 @@ def parse_matrix(doc) -> np.ndarray:
         if key not in doc:
             raise MatrixFileError(f"matrix document missing key '{key}'")
     rows, cols, data = doc["rows"], doc["cols"], doc["data"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+    if type(rows) is not int or type(cols) is not int or rows < 1 or cols < 1:
         raise MatrixFileError("rows and cols must be positive integers")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise MatrixFileError(f"data must hold exactly rows*cols = {rows * cols} entries")

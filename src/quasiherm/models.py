@@ -44,6 +44,12 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 
 
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DimerParams:
     """Dimer couplings, stored redundantly and cross-validated.
@@ -60,6 +66,7 @@ class DimerParams:
     gamma: float
 
     def __post_init__(self) -> None:
+        _require_finite(omega=self.omega, alpha=self.alpha, kappa=self.kappa, gamma=self.gamma)
         if not self.omega > 0:
             raise ValueError("omega must be positive")
         if not self.kappa > 0:
@@ -68,9 +75,9 @@ class DimerParams:
             raise EPRegion("|gamma| >= kappa puts the dimer at or past the exceptional point")
         rel = DEFAULT_TOL.residual_rel
         scale = max(self.omega**2, self.kappa**2)
-        if abs(self.kappa**2 - self.gamma**2 - self.omega**2) > rel * scale:
+        if not abs(self.kappa**2 - self.gamma**2 - self.omega**2) <= rel * scale:
             raise ValueError("kappa^2 - gamma^2 = omega^2 violated")
-        if abs(math.tanh(self.alpha) - self.gamma / self.kappa) > rel:
+        if not abs(math.tanh(self.alpha) - self.gamma / self.kappa) <= rel:
             raise ValueError("tanh(alpha) = gamma / kappa violated")
 
 
@@ -81,6 +88,7 @@ def dimer_params(omega: float, alpha: float) -> DimerParams:
     where kappa and gamma lose digits; a normal omega keeps
     kappa = omega cosh(alpha) >= omega normal too.
     """
+    _require_finite(omega=omega, alpha=alpha)
     if not omega > 0:
         raise ValueError("omega must be positive")
     if omega < sys.float_info.min:
@@ -101,6 +109,7 @@ def dimer_from_coupling(kappa: float, gamma: float) -> DimerParams:
     kappa^2 - gamma^2 = omega^2 is below the smallest normal float, where omega
     would be zero or lose precision.
     """
+    _require_finite(kappa=kappa, gamma=gamma)
     if not kappa > 0:
         raise ValueError("kappa must be positive")
     if abs(gamma) >= kappa:
@@ -184,11 +193,13 @@ def _cond_2x2(v: np.ndarray) -> np.ndarray:
 
 def ep_scan(kappa: float, gamma_grid, tol: Tolerances = DEFAULT_TOL) -> EPScanReport:
     """Scan gamma values for exceptional points of H = kappa sigma_x + i gamma sigma_z."""
-    if not kappa > 0:
-        raise ValueError("kappa must be positive")
+    if not 0 < kappa < math.inf:
+        raise ValueError("kappa must be positive and finite")
     grid = np.asarray(gamma_grid, dtype=float).ravel()
     if grid.size == 0:
         raise ValueError("gamma_grid must be non-empty")
+    if not np.isfinite(grid).all():
+        raise ValueError("gamma_grid entries must be finite")
     if np.any(np.diff(grid) < 0):
         raise ValueError("gamma_grid must be sorted ascending")
 
@@ -231,6 +242,7 @@ class FermionicParams:
     omega: float
 
     def __post_init__(self) -> None:
+        _require_finite(alpha=self.alpha, beta=self.beta, omega=self.omega)
         if not 0.0 < self.omega < 1.0:
             raise ValueError("omega must lie strictly between 0 and 1")
         if not self.alpha * self.beta > 0:

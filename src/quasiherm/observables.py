@@ -73,7 +73,7 @@ is_quasi_hermitian = quasi_hermiticity_residual
 def observable_from_M(metric: Metric, m, tol: Tolerances = DEFAULT_TOL) -> ObservableCandidate:
     """Build the observable Theta^{-1} M from a Hermitian generator M."""
     mm = as_square_matrix(m)
-    if hermiticity_residual(mm) > tol.residual_rel:
+    if not hermiticity_residual(mm) <= tol.residual_rel:
         raise NotHermitianGenerator("generator M must be Hermitian")
     mm = herm_part(mm)
     a = np.linalg.solve(metric.theta, mm)
@@ -163,7 +163,7 @@ def _certify(candidate: np.ndarray, mats, tol: Tolerances) -> Metric | None:
     if not trace > 0:
         return None
     theta = candidate * (candidate.shape[0] / trace)
-    if any(quasi_hermiticity_residual(a, theta) > tol.residual_rel for a in mats):
+    if not all(quasi_hermiticity_residual(a, theta) <= tol.residual_rel for a in mats):
         return None
     try:
         return metric_from_theta(theta, tol)

@@ -459,6 +459,56 @@ class TestScanCommand:
         capsys.readouterr()
 
 
+_SCAN = ("scan", "--kappa", "1", "--gamma-min", "0", "--gamma-max", "1")
+
+# Inputs outside the library's domain, each refused where it enters: argv, exit
+# code and the one stderr line.
+REFUSALS = [
+    (("hermitize", "H.json", "--k-diag", ""), 2, "error: k_diag has 0 entries for dimension 2"),
+    (("hermitize", "H.json", "--k-diag", "1,nan"), 2, "error: k_diag entries must be finite"),
+    (("hermitize", "H.json", "--k-diag", "1,inf"), 2, "error: k_diag entries must be finite"),
+    (("hermitize", "bool.json"), 2, "error: rows and cols must be positive integers"),
+    (("hermitize", "empty.json"), 2, "error: rows and cols must be positive integers"),
+    (("hermitize", "nilpotent.json"), 4, "DefectiveMatrix: eigenvector basis is singular"),
+    (("scan", "--kappa", "inf", *_SCAN[3:], "--step", "0.5"), 2,
+     "error: kappa must be positive and finite"),
+    (("scan", "--kappa", "-1", *_SCAN[3:], "--step", "0.5"), 2,
+     "error: kappa must be positive and finite"),
+    ((*_SCAN, "--step", "nan"), 2, "error: --step must be finite"),
+    (("scan", "--kappa", "1", "--gamma-min", "nan", "--gamma-max", "1", "--step", "0.5"), 2,
+     "error: --gamma-min must be finite"),
+    (("scan", "--kappa", "1", "--gamma-min", "0", "--gamma-max", "inf", "--step", "0.5"), 2,
+     "error: --gamma-max must be finite"),
+    # fails before numpy allocates anything: the grid would take 72.8 TiB
+    ((*_SCAN, "--step", "1e-13"), 2,
+     "error: --step 1e-13 gives 10000000000001 grid points, too many to allocate"),
+    (("model", "fermion", "--alpha", "nan", "--beta", "1", "--omega", "0.3"), 2,
+     "error: alpha must be finite, got nan"),
+    (("model", "dimer", "--omega", "1", "--alpha", "inf"), 2, "error: alpha must be finite, got inf"),
+    (("model", "dimer", "--omega", "1", "--alpha", "nan"), 2, "error: alpha must be finite, got nan"),
+    (("model", "dimer", "--kappa", "1", "--gamma", "nan"), 2, "error: gamma must be finite, got nan"),
+    (("model", "dimer", "--kappa", "inf", "--gamma", "0"), 2, "error: kappa must be finite, got inf"),
+]
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("argv,code,line", REFUSALS, ids=[" ".join(r[0]) for r in REFUSALS])
+    def test_refused_with_one_line(self, tmp_path, argv, code, line):
+        write_h(tmp_path, "H.json", DIMER_H)
+        write_h(tmp_path, "nilpotent.json", np.diag([1.0, 1.0], k=1))
+        (tmp_path / "bool.json").write_text('{"rows": true, "cols": true, "data": [[2.0, 0.0]]}')
+        (tmp_path / "empty.json").write_text('{"rows": 0, "cols": 0, "data": []}')
+        before = sorted(tmp_path.iterdir())
+        out_dir = ("--out-dir", "out") if argv[0] == "model" else ()
+        # the children fail on a numpy RuntimeWarning (conftest.py); the one
+        # expected stderr line leaves no room for a traceback or a warning
+        proc = subprocess.run([sys.executable, "-m", "quasiherm", *argv, *out_dir],
+                              capture_output=True, text=True, cwd=tmp_path)
+        assert (proc.returncode, proc.stderr.splitlines()) == (code, [line]), proc.stderr
+        assert proc.stdout == ""
+        assert sorted(tmp_path.iterdir()) == before
+
+
 class TestNumericalFailure:
     def test_lapack_failure_exit(self, tmp_path, capsys, monkeypatch):
         # LinAlgError subclasses ValueError but is a numerical failure (5),

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -30,8 +31,17 @@ from quasiherm import (
     quasi_hermiticity_residual,
     solve_schrodinger_pair,
 )
-from quasiherm.linalg import fro, herm_sqrt, hermiticity_residual
-from quasiherm.models import FermionicParams, dimer_build, dimer_from_coupling, fermionic_build
+from quasiherm import dyson, linalg, models, observables
+from quasiherm.errors import NotHermitian, NotHermitianGenerator, SingularInput
+from quasiherm.linalg import DEFAULT_TOL, eig_general, fro, herm_sqrt, hermiticity_residual, polar_decompose
+from quasiherm.models import (
+    DimerParams,
+    FermionicParams,
+    dimer_build,
+    dimer_from_coupling,
+    fermionic_build,
+)
+from quasiherm.observables import observable_from_M
 
 LOG2 = np.log(2.0)
 DIMER_H = dimer_hamiltonian(1.25, 0.75)
@@ -123,6 +133,9 @@ class TestOmegaFamilies:
             build_omega_K(dmap, [1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             build_omega_K(build_omega_K(dmap, [1.0, 2.0]), [1.0, 2.0])
+        for k in ([], [1.0, np.nan], [1.0, np.inf], [complex(1.0, -np.inf), 1.0]):
+            with pytest.raises(ValueError, match="k_diag"):
+                build_omega_K(dmap, k)
 
     def test_omega_K_honours_positivity_tolerance(self):
         dmap = build_omega_I(solve_schrodinger_pair(DIMER_H))
@@ -270,6 +283,12 @@ class TestQuasiHermiticityResidual:
         # H† - H = -2i gamma sigma_z against ||H|| ||I|| puts this near 0.73
         r = quasi_hermiticity_residual(DIMER_H, np.eye(2))
         assert abs(r - 0.7276) < 1e-3
+
+    def test_overflowing_norms_do_not_certify(self):
+        # ||H|| ||Theta|| overflows although both norms are finite
+        h = 1e200 * DIMER_H
+        theta = metric_of(build_omega_I(solve_schrodinger_pair(h))).theta * 1e200
+        assert quasi_hermiticity_residual(h, theta) == math.inf
 
     def test_metric_object_accepted(self):
         metric = metric_of(closed_dimer_map())
@@ -496,3 +515,89 @@ class TestHermitizePipeline:
             assert np.all(np.diff(report.energies) > 0)
             assert np.allclose(report.energies, energies, atol=1e-9 * np.linalg.norm(h))
             assert quasi_hermiticity_residual(h, metric) < 1e-10
+
+
+def _nan(*_args):
+    return math.nan
+
+
+def _nan_array(a):
+    return np.full(len(a), math.nan)
+
+
+def _eig_with_nan_imag(a, tol):
+    w, right, left = eig_general(a, tol)
+    return w + complex(0.0, math.nan), right, left
+
+
+_DIMER_PARAMS = dict(omega=1.0, alpha=0.0, kappa=1.0, gamma=0.0)
+
+# Each gate, with the measured quantity it compares made NaN, and the failure it
+# must then report: {name: ((owner, attribute to patch), replacement, call on the
+# dimer's reference map, expected error or None for a None return)}.  A NaN
+# fails every comparison, so a gate written as `if x > bound: raise` passes it.
+_NAN_GATES = {
+    "solve_schrodinger_pair reality": (
+        (dyson, "eig_general"), _eig_with_nan_imag,
+        lambda m: solve_schrodinger_pair(DIMER_H), ComplexSpectrum,
+    ),
+    "build_omega_K spread": (
+        (np, "abs"), _nan_array, lambda m: build_omega_K(m, [1.0, 2.0]), SingularScaling,
+    ),
+    "build_omega_KU unitarity": (
+        (dyson, "fro"), _nan, lambda m: build_omega_KU(m, np.eye(2)), NotUnitary,
+    ),
+    "metric_from_theta positivity": (
+        (np.linalg, "eigvalsh"), _nan_array,
+        lambda m: metric_from_theta(DIMER_THETA), NotPositiveDefinite,
+    ),
+    "hermitian_avatar hermiticity": (
+        (dyson, "hermiticity_residual"), _nan,
+        lambda m: hermitian_avatar(DIMER_H, m), AvatarNotHermitian,
+    ),
+    "evolve_norm_check intertwining": (
+        (dyson, "quasi_hermiticity_residual"), _nan,
+        lambda m: evolve_norm_check(DIMER_H, DIMER_THETA, [1.0, 0.0], [0.0]), NotQuasiHermitian,
+    ),
+    "linalg hermiticity": (
+        (linalg, "hermiticity_residual"), _nan, lambda m: herm_sqrt(DIMER_THETA), NotHermitian,
+    ),
+    "herm_sqrt positivity": (
+        (np.linalg, "eigh"), lambda a: (_nan_array(a), np.eye(len(a))),
+        lambda m: herm_sqrt(DIMER_THETA), NotPositiveDefinite,
+    ),
+    "polar_decompose singularity": (
+        (np.linalg, "svd"), lambda a: (np.eye(len(a)), _nan_array(a), np.eye(len(a))),
+        lambda m: polar_decompose(DIMER_OMEGA), SingularInput,
+    ),
+    "DimerParams kappa^2 - gamma^2 = omega^2": (
+        (models, "abs"), _nan, lambda m: DimerParams(**_DIMER_PARAMS), ValueError,
+    ),
+    "DimerParams tanh(alpha) = gamma / kappa": (
+        (math, "tanh"), _nan, lambda m: DimerParams(**_DIMER_PARAMS), ValueError,
+    ),
+    "observable_from_M hermiticity": (
+        (observables, "hermiticity_residual"), _nan,
+        lambda m: observable_from_M(metric_from_theta(DIMER_THETA), np.eye(2)),
+        NotHermitianGenerator,
+    ),
+    "_certify intertwining": (
+        (observables, "quasi_hermiticity_residual"), _nan,
+        lambda m: observables._certify(np.eye(2), (np.eye(2), np.eye(2)), DEFAULT_TOL), None,
+    ),
+}
+
+
+class TestGatesFailClosed:
+    @pytest.mark.parametrize("name", list(_NAN_GATES))
+    def test_nan_quantity_fails_the_gate(self, name, monkeypatch):
+        (owner, attr), replacement, call, expected = _NAN_GATES[name]
+        dmap = build_omega_I(solve_schrodinger_pair(DIMER_H))  # before the patch
+        monkeypatch.setattr(owner, attr, replacement, raising=False)
+        if expected is None:
+            assert call(dmap) is None
+        else:
+            with pytest.raises(expected) as info:
+                call(dmap)
+            if expected is ValueError:  # DimerParams: the message names the relation
+                assert str(info.value) == name.split(" ", 1)[1] + " violated"

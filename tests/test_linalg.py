@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 
@@ -30,7 +31,8 @@ from quasiherm import (
     polar_decompose,
     solve_schrodinger_pair,
 )
-from quasiherm.linalg import _normalize_columns, hermiticity_residual
+from quasiherm.linalg import _normalize_columns, fro, hermiticity_residual
+from quasiherm.observables import shared_metric
 
 DIMER_H = np.array([[0.75j, 1.25], [1.25, -0.75j]])
 DIMER_THETA = np.array([[1.25, -0.75j], [0.75j, 1.25]])
@@ -125,12 +127,29 @@ class TestEigGeneral:
             np.linalg.inv(np.linalg.eig(jordan)[1])
         with pytest.raises(DefectiveMatrix):
             eig_general(jordan)
+        # an infinite gate waives the condition test, not the inverse
+        for tol in (Tolerances(), Tolerances(defective_cond=np.inf)):
+            with pytest.raises(DefectiveMatrix, match="^eigenvector basis is singular$"):
+                eig_general(jordan, tol)
+            with pytest.raises(DefectiveMatrix, match="^eigenvector basis is singular$"):
+                hermitize(jordan, tol=tol)
 
     def test_rejects_nonsquare_and_nonfinite(self):
         with pytest.raises(ValueError):
             eig_general(np.ones((2, 3)))
         with pytest.raises(ValueError):
             eig_general(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize(
+        "call",
+        [eig_general, hermitize, herm_sqrt, herm_exp, polar_decompose,
+         lambda h: shared_metric(h, h)],
+        ids=["eig_general", "hermitize", "herm_sqrt", "herm_exp", "polar_decompose",
+             "shared_metric"],
+    )
+    def test_rejects_empty_matrix(self, call):
+        with pytest.raises(ValueError, match=r"shape \(0, 0\)"):
+            call(np.zeros((0, 0)))
 
     def test_random_suite_reconstruction(self, rng):
         for _ in range(10):
@@ -377,6 +396,28 @@ class TestEigMemo:
                 except QuasihermError as exc:
                     outcomes.append((type(exc), str(exc)))
             assert outcomes[0] == outcomes[1]
+
+
+class TestFro:
+    def test_bits_match_numpy_norm_in_range(self, rng):
+        for n in (1, 2, 5, 16, 64):
+            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            for a in (m, 1e-100 * m, 1e100 * m, m.conj().T, m[:, : (n + 1) // 2], m.real):
+                assert fro(a) == float(np.linalg.norm(a))
+
+    @pytest.mark.parametrize("k", [-1000, -600, -520, 520, 600, 1000, 1020])
+    def test_power_of_two_scaling_is_exact(self, rng, k):
+        # the largest entry part in [1/2, 1), so the copy that fro scales back
+        # into range is m itself
+        m = rng.uniform(-1.0, 1.0, (3, 3)) + 1j * rng.uniform(-1.0, 1.0, (3, 3))
+        m /= 2.0 ** math.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1]
+        assert fro(2.0**k * m) == 2.0**k * fro(m)
+
+    def test_limits(self):
+        assert fro(np.zeros((2, 2))) == 0.0
+        assert fro(np.array([[5e-324]])) == 5e-324
+        assert fro(np.array([[1e308, 1e308j]])) == 1e308 * math.sqrt(2.0)
+        assert fro(np.full((2, 2), 1e308)) == math.inf
 
 
 class TestHermiticityResidual:

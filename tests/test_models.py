@@ -109,6 +109,26 @@ class TestDimerParams:
         with pytest.raises(ValueError):
             dimer_from_coupling(0.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "make,names",
+        [
+            (dimer_params, ("omega", "alpha")),
+            (dimer_from_coupling, ("kappa", "gamma")),
+            (DimerParams, ("omega", "alpha", "kappa", "gamma")),
+            (FermionicParams, ("alpha", "beta", "omega")),
+        ],
+        ids=["dimer_params", "dimer_from_coupling", "DimerParams", "FermionicParams"],
+    )
+    def test_non_finite_argument_named_first(self, make, names, bad):
+        # valid values elsewhere; the refusal names the non-finite argument
+        # before any domain check can name another
+        valid = {"omega": 0.5, "alpha": 0.5, "beta": 1.0, "kappa": 1.25, "gamma": 0.75}
+        for name in names:
+            values = {n: valid[n] for n in names} | {name: bad}
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad!r}$"):
+                make(**values)
+
     def test_inconsistent_fields_rejected(self):
         with pytest.raises(ValueError):
             DimerParams(omega=1.0, alpha=0.0, kappa=2.0, gamma=0.0)
@@ -270,6 +290,12 @@ class TestEpScan:
             ep_scan(1.0, np.array([]))
         with pytest.raises(ValueError):
             ep_scan(1.0, np.array([0.2, 0.1]))
+        for kappa in (math.inf, math.nan, -1.0):
+            with pytest.raises(ValueError, match="^kappa must be positive and finite$"):
+                ep_scan(kappa, [0.0, 1.0])
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="^gamma_grid entries must be finite$"):
+                ep_scan(1.0, [0.0, bad])
 
 
 class TestFermionicParams:

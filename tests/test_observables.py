@@ -1,10 +1,11 @@
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from helpers import (
@@ -21,6 +22,7 @@ from quasiherm import (
     build_omega_I,
     build_omega_K,
     check_diagonal_center,
+    hermitize,
     is_quasi_hermitian,
     metric_from_theta,
     observable_from_M,
@@ -477,3 +479,46 @@ class TestSharedMetricDecision:
         h1, h2 = s @ d1 @ s_inv, s @ d2 @ s_inv
         assert shared_metric(h1, h2).status == "Found"
         assert shared_metric(h2, h1).status == "Found"
+
+
+JORDAN = np.array([[1.0, 1.0], [0.0, 1.0]])
+_SCALE_PAIRS = {
+    "dimer/sigma_z": (DIMER_H, SIGMA_Z),
+    "dimer/h^2": (DIMER_H, DIMER_H @ DIMER_H),
+    "jordan/itself": (JORDAN, JORDAN),
+}
+
+
+class TestScaleInvariance:
+    """Answers do not depend on the overall scale of the Hamiltonians."""
+
+    @pytest.mark.parametrize("exponent", [-300, -200, -160, 150, 155, 200, 300, 307])
+    def test_answers_match_unit_scale(self, exponent):
+        s = 10.0**exponent
+        for label, (h1, h2) in _SCALE_PAIRS.items():
+            unit, scaled = shared_metric(h1, h2), shared_metric(s * h1, s * h2)
+            assert scaled.status == unit.status, label
+            assert scaled.solution_space_dim == unit.solution_space_dim, label
+        report = hermitize(s * DIMER_H)[-1]
+        assert report.passed
+        assert np.allclose(report.energies / s, [-1.0, 1.0], rtol=1e-14, atol=0.0)
+        residuals = (report.residual_quasi_herm, report.residual_avatar_herm,
+                     report.residual_isospectral)
+        assert max(residuals) <= 1e-15
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # products overflow near 1e308
+    @given(_any_pair() | st.sampled_from(list(_SCALE_PAIRS.values())), st.integers(-300, 308))
+    def test_found_is_certified(self, pair, exponent):
+        h1, h2 = (10.0**exponent * h for h in pair)
+        assume(np.isfinite(h1).all() and np.isfinite(h2).all())
+        result = shared_metric(h1, h2)
+        if result.status == "Found":
+            for h in (h1, h2):
+                residual = quasi_hermiticity_residual(h, result.theta)
+                assert math.isfinite(residual) and residual <= DEFAULT_TOL.residual_rel
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("label", ["dimer/sigma_z", "jordan/itself"])
+    def test_overflowing_products_are_not_found(self, label):
+        h1, h2 = (1e308 * h for h in _SCALE_PAIRS[label])
+        assert shared_metric(h1, h2).status == "Inconclusive"
