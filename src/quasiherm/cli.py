@@ -12,7 +12,6 @@ import numpy as np
 from .dyson import (
     DysonMap,
     build_report,
-    hermitian_avatar,
     hermitize,
     metric_from_theta,
     solve_schrodinger_pair,
@@ -47,13 +46,26 @@ _MODEL_FLAG_SETS = {
 }
 
 
+class _Once(argparse.Action):
+    """Store an option's value, or its const if it takes none; refuse a second
+    occurrence, whose value argparse would otherwise keep in place of the first."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        seen = namespace.__dict__.setdefault("_options_given", set())
+        if self.dest in seen:
+            raise argparse.ArgumentError(self, "may be given only once")
+        seen.add(self.dest)
+        setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
+
+
 def _add_tol_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol-residual", type=float, default=DEFAULT_TOL.residual_rel, metavar="X",
-                     help="relative residual tolerance (default %(default)g)")
-    sub.add_argument("--tol-reality", type=float, default=DEFAULT_TOL.reality_rel, metavar="X",
-                     help="relative eigenvalue reality tolerance (default %(default)g)")
-    sub.add_argument("--tol-positivity", type=float, default=DEFAULT_TOL.positivity_rel,
-                     metavar="X", help="relative positivity threshold (default %(default)g)")
+    sub.add_argument("--tol-residual", action=_Once, type=float, default=DEFAULT_TOL.residual_rel,
+                     metavar="X", help="relative residual tolerance (default %(default)g)")
+    sub.add_argument("--tol-reality", action=_Once, type=float, default=DEFAULT_TOL.reality_rel,
+                     metavar="X", help="relative eigenvalue reality tolerance (default %(default)g)")
+    sub.add_argument("--tol-positivity", action=_Once, type=float,
+                     default=DEFAULT_TOL.positivity_rel, metavar="X",
+                     help="relative positivity threshold (default %(default)g)")
 
 
 def _tolerances(args: argparse.Namespace) -> Tolerances:
@@ -105,8 +117,7 @@ def cmd_model(args: argparse.Namespace) -> int:
     dmap = DysonMap(omega=omega_map, omega_inv=omega_inv, family=args.name)
     system = solve_schrodinger_pair(big_h, tol)
     metric = metric_from_theta(theta, tol)
-    avatar = hermitian_avatar(big_h, dmap, tol)
-    report = build_report(big_h, system, dmap, metric, avatar, tol)
+    avatar, report = build_report(big_h, system, dmap, metric, tol)
 
     os.makedirs(args.out_dir, exist_ok=True)
     write_matrix_file(os.path.join(args.out_dir, "hamiltonian.json"), big_h)
@@ -174,9 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_herm = subs.add_parser("hermitize", help="construct a Dyson map and metric for H")
     p_herm.add_argument("input", help="MatrixFile holding H")
-    p_herm.add_argument("--k-diag", default=None, metavar="K1,K2,...",
+    p_herm.add_argument("--k-diag", action=_Once, default=None, metavar="K1,K2,...",
                         help="comma separated complex entries of the diagonal K")
-    p_herm.add_argument("--hermitian-omega", action="store_true",
+    p_herm.add_argument("--hermitian-omega", action=_Once, nargs=0, const=True, default=False,
                         help="rotate by the polar unitary so the map is Hermitian")
     _add_tol_flags(p_herm)
     p_herm.set_defaults(func=cmd_hermitize)
@@ -184,24 +195,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_model = subs.add_parser("model", help="emit the matrices of a worked model")
     p_model.add_argument("name", choices=("dimer", "fermion"))
     for flag in _MODEL_FLAGS:
-        p_model.add_argument(f"--{flag}", type=float, default=None)
-    p_model.add_argument("--out-dir", default=".", metavar="DIR",
+        p_model.add_argument(f"--{flag}", action=_Once, type=float, default=None)
+    p_model.add_argument("--out-dir", action=_Once, default=".", metavar="DIR",
                          help="directory for the emitted MatrixFiles (default .)")
     _add_tol_flags(p_model)
     p_model.set_defaults(func=cmd_model)
 
     p_scan = subs.add_parser("scan", help="scan the dimer gain/loss axis for exceptional points")
-    p_scan.add_argument("--kappa", type=float, required=True)
-    p_scan.add_argument("--gamma-min", type=float, required=True)
-    p_scan.add_argument("--gamma-max", type=float, required=True)
-    p_scan.add_argument("--step", type=float, required=True)
+    p_scan.add_argument("--kappa", action=_Once, type=float, required=True)
+    p_scan.add_argument("--gamma-min", action=_Once, type=float, required=True)
+    p_scan.add_argument("--gamma-max", action=_Once, type=float, required=True)
+    p_scan.add_argument("--step", action=_Once, type=float, required=True)
     p_scan.set_defaults(func=cmd_scan)
 
     p_compat = subs.add_parser("compat", help="decide whether two Hamiltonians share a metric")
     p_compat.add_argument("h1", help="MatrixFile holding the first Hamiltonian")
     p_compat.add_argument("h2", help="MatrixFile holding the second Hamiltonian")
     # accepted so that older scripts keep running; it never had an effect
-    p_compat.add_argument("--seed", type=int, default=0, help=argparse.SUPPRESS)
+    p_compat.add_argument("--seed", action=_Once, type=int, default=0, help=argparse.SUPPRESS)
     _add_tol_flags(p_compat)
     p_compat.set_defaults(func=cmd_compat)
 

@@ -227,10 +227,22 @@ def _theta_of(metric) -> np.ndarray:
     return metric.theta if isinstance(metric, Metric) else as_square_matrix(metric)
 
 
+def _state(v, n: int, name: str) -> np.ndarray:
+    """A finite complex vector of length n, refused by name otherwise."""
+    x = np.asarray(v, dtype=np.complex128).ravel()
+    if x.size != n:
+        raise ValueError(f"{name} has {x.size} entries for dimension {n}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} entries must be finite")
+    return x
+
+
 def quasi_hermiticity_residual(h, metric) -> float:
     """Relative size of H† Theta - Theta H, the metric intertwining defect."""
     a = as_square_matrix(h)
     theta = _theta_of(metric)
+    if a.shape != theta.shape:
+        raise ValueError(f"H has shape {a.shape} but the metric has shape {theta.shape}")
     denom = fro(a) * fro(theta)
     if denom == 0:
         return 0.0
@@ -253,11 +265,8 @@ def hermitian_dyson(dyson_map: DysonMap, tol: Tolerances = DEFAULT_TOL) -> tuple
 def phys_inner(metric, psi, phi) -> complex:
     """Physical inner product <psi, Theta phi>."""
     theta = _theta_of(metric)
-    pv = np.asarray(psi, dtype=np.complex128).ravel()
-    qv = np.asarray(phi, dtype=np.complex128).ravel()
-    if pv.size != theta.shape[0] or qv.size != theta.shape[0]:
-        raise ValueError("vector length does not match the metric dimension")
-    return complex(pv.conj() @ theta @ qv)
+    n = theta.shape[0]
+    return complex(_state(psi, n, "psi").conj() @ theta @ _state(phi, n, "phi"))
 
 
 def evolve_norm_check(h, metric, psi0, times, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -270,37 +279,40 @@ def evolve_norm_check(h, metric, psi0, times, tol: Tolerances = DEFAULT_TOL) -> 
     """
     a = as_square_matrix(h)
     theta = _theta_of(metric)
+    psi0 = _state(psi0, a.shape[0], "psi0")
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
     if not quasi_hermiticity_residual(a, theta) <= tol.residual_rel:
         raise NotQuasiHermitian("H† Theta - Theta H residual exceeds tolerance")
     w, right, left = eig_general(a, tol)
-    coeff = left.conj().T @ np.asarray(psi0, dtype=np.complex128).ravel()
+    coeff = left.conj().T @ psi0
     # One column of psi(t) per requested time.
     psi_t = right @ (np.exp(-1j * np.outer(w, times)) * coeff[:, None])
     return np.einsum("it,it->t", psi_t.conj(), theta @ psi_t).real
 
 
-def build_report(h, system, dyson_map, metric, avatar, tol: Tolerances) -> HermitizationReport:
+def build_report(
+    h, system, dyson_map, metric, tol: Tolerances = DEFAULT_TOL
+) -> tuple[np.ndarray, HermitizationReport]:
+    """Avatar and residual report of a map; AvatarNotHermitian if it does not hermitize H."""
     a = as_square_matrix(h)
+    avatar = hermitian_avatar(a, dyson_map, tol)
     r_quasi = quasi_hermiticity_residual(a, metric)
     r_avatar = hermiticity_residual(avatar)
     avatar_spec = np.linalg.eigvalsh(herm_part(avatar))
     scale_h = fro(a) or 1.0
     r_iso = float(np.max(np.abs(avatar_spec - system.energies))) / scale_h
     lam = metric.eigenvalues
-    passed = (
-        r_quasi <= tol.residual_rel
-        and r_avatar <= tol.residual_rel
-        and r_iso <= tol.reality_rel
-    )
-    return HermitizationReport(
+    report = HermitizationReport(
         energies=system.energies.copy(),
         family=dyson_map.family,
         residual_quasi_herm=r_quasi,
         residual_avatar_herm=r_avatar,
         residual_isospectral=r_iso,
         metric_condition=float(lam[-1] / lam[0]),
-        passed=passed,
+        passed=r_quasi <= tol.residual_rel and r_iso <= tol.reality_rel,
     )
+    return avatar, report
 
 
 def hermitize(h, k_diag=None, hermitian_map: bool = False, tol: Tolerances = DEFAULT_TOL):
@@ -317,6 +329,5 @@ def hermitize(h, k_diag=None, hermitian_map: bool = False, tol: Tolerances = DEF
     if hermitian_map:
         dmap = build_omega_KU(dmap, hermitian_dyson(dmap, tol)[0], tol)
     metric = metric_of(dmap, tol)
-    avatar = hermitian_avatar(h, dmap, tol)
-    report = build_report(h, system, dmap, metric, avatar, tol)
+    avatar, report = build_report(h, system, dmap, metric, tol)
     return system, dmap, metric, avatar, report

@@ -132,6 +132,11 @@ def _emit(value, indent: int) -> str:
             items.append(f'{pad}  "{k}": {_emit(v, indent + 1)}')
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(value, np.ndarray):
+        if value.size and (value.shape[1:] != (2,) or value.dtype.kind not in "biuf"):
+            raise TypeError(
+                f"cannot serialize an array of shape {value.shape} and dtype {value.dtype}: "
+                "expected an (entries, 2) real array of [re, im] pairs"
+            )
         return _emit_pairs(value, pad)
     if isinstance(value, (list, tuple)):
         if not value:

@@ -202,6 +202,10 @@ def ep_scan(kappa: float, gamma_grid, tol: Tolerances = DEFAULT_TOL) -> EPScanRe
         raise ValueError("gamma_grid entries must be finite")
     if np.any(np.diff(grid) < 0):
         raise ValueError("gamma_grid must be sorted ascending")
+    # the gap is at most 2 max(kappa, |gamma|), which must stay a float
+    top = np.maximum(kappa, np.abs(grid))
+    if not top.max() <= sys.float_info.max / 2:
+        raise ValueError("kappa and |gamma| must not exceed half the largest float")
 
     hmats = kappa * SIGMA_X + 1j * grid[:, None, None] * SIGMA_Z
     w, v = np.linalg.eig(hmats)
@@ -210,8 +214,13 @@ def ep_scan(kappa: float, gamma_grid, tol: Tolerances = DEFAULT_TOL) -> EPScanRe
     gaps = np.hypot(d.real, d.imag)
     conds = _cond_2x2(v)
 
-    scale = np.sqrt(2.0 * kappa**2 + 2.0 * grid**2)
-    flags = (gaps < 1e-6 * scale) & (conds > tol.defective_cond)
+    # The gap is measured against 1e-6 times the matrix norm sqrt(2 kappa^2 + 2 gamma^2),
+    # with kappa, gamma and the gap scaled by the power of two of max(kappa, |gamma|)
+    # so that no square over- or underflows.  The scaling is exact, so the flags are
+    # those of the unscaled comparison wherever its squares are normal numbers.
+    e = np.frexp(top)[1]
+    norm = np.sqrt(2.0 * np.ldexp(kappa, -e) ** 2 + 2.0 * np.ldexp(grid, -e) ** 2)
+    flags = (np.ldexp(gaps, -e) < 1e-6 * norm) & (conds > tol.defective_cond)
 
     # Flagged runs start where the padded flags rise and stop where they fall.
     edges = np.flatnonzero(np.diff(np.r_[False, flags, False]))

@@ -197,6 +197,12 @@ class TestEmitterBytes:
         doc = {"rows": 0, "cols": 0, "data": np.empty((0, 2))}
         assert emit_json(doc) == reference_emit(doc) == '{\n  "rows": 0,\n  "cols": 0,\n  "data": []\n}'
 
+    @pytest.mark.parametrize("array", [np.array([1.0, 2.0]), np.ones((2, 3)), np.ones((2, 2, 1)),
+                                       np.ones((2, 2), dtype=complex), np.array(1.0)])
+    def test_array_not_of_pairs_refused(self, array):
+        with pytest.raises(TypeError, match=re.escape(f"array of shape {array.shape}")):
+            emit_json({"x": array})
+
 
 def float_bits(values) -> bytes:
     return np.asarray(values, dtype=np.float64).tobytes()
@@ -449,6 +455,21 @@ class TestScanCommand:
         assert len(lines) == 6
         assert all(line.endswith("false") for line in lines[1:])
 
+    @pytest.mark.parametrize("flags,flagged", [
+        (("--kappa", "1e200", "--gamma-min", "0", "--gamma-max", "1", "--step", "0.5"), []),
+        (("--kappa", "1", "--gamma-min", "0", "--gamma-max", "1e200", "--step", "1e200"), []),
+        (("--kappa", "1e-300", "--gamma-min", "0", "--gamma-max", "1e-300", "--step", "5e-301"),
+         [1e-300]),
+        (("--kappa", "1e300", "--gamma-min", "0", "--gamma-max", "1e300", "--step", "5e299"),
+         [1e300]),
+    ])
+    def test_scale_beyond_squaring(self, flags, flagged):
+        # the children fail on a numpy RuntimeWarning (conftest.py)
+        proc = run_cli("scan", *flags)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
+        assert [float(row[0]) for row in rows if row[3] == "true"] == flagged
+
     def test_bad_flags_exit(self, capsys):
         assert main(["scan", "--kappa", "1", "--gamma-min", "0", "--gamma-max", "1",
                      "--step", "0"]) == 2
@@ -479,6 +500,8 @@ REFUSALS = [
      "error: --gamma-min must be finite"),
     (("scan", "--kappa", "1", "--gamma-min", "0", "--gamma-max", "inf", "--step", "0.5"), 2,
      "error: --gamma-max must be finite"),
+    ((*_SCAN[:6], "1e308", "--step", "1e308"), 2,
+     "error: kappa and |gamma| must not exceed half the largest float"),
     # fails before numpy allocates anything: the grid would take 72.8 TiB
     ((*_SCAN, "--step", "1e-13"), 2,
      "error: --step 1e-13 gives 10000000000001 grid points, too many to allocate"),
@@ -507,6 +530,44 @@ class TestRefusals:
         assert (proc.returncode, proc.stderr.splitlines()) == (code, [line]), proc.stderr
         assert proc.stdout == ""
         assert sorted(tmp_path.iterdir()) == before
+
+
+# A command line that parses, per subcommand, and every option each one declares.
+_BASE_ARGV = {
+    "hermitize": ["hermitize", "h.json"],
+    "model": ["model", "dimer"],
+    "scan": list(_SCAN) + ["--step", "0.5"],
+    "compat": ["compat", "h1.json", "h2.json"],
+}
+_OPTIONS = [
+    (name, action.option_strings[-1], action.nargs == 0)
+    for name, sub in build_parser()._subparsers._group_actions[0].choices.items()
+    for action in sub._actions
+    if action.option_strings and action.dest != "help"
+]
+
+
+class TestRepeatedFlags:
+    @pytest.mark.parametrize("command,flag,bare", _OPTIONS, ids=[f"{c} {f}" for c, f, _ in _OPTIONS])
+    def test_second_occurrence_refused(self, tmp_path, monkeypatch, capsys, command, flag, bare):
+        # argparse would keep the last value and drop the first unseen
+        monkeypatch.chdir(tmp_path)
+        base = list(_BASE_ARGV[command])
+        if flag in base:  # a required flag: the test gives it
+            del base[base.index(flag):base.index(flag) + 2]
+        once = [flag] if bare else [flag, "1"]
+        build_parser().parse_args(base + once)  # one occurrence parses
+        spellings = [once + once, once + [flag[:-1]] + once[1:]]
+        if not bare:
+            spellings.append([f"{flag}=1", *once])
+        for repeated in spellings:
+            assert main(base + repeated) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.splitlines()[-1] == (
+                f"quasiherm {command}: error: argument {flag}: may be given only once"
+            )
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestNumericalFailure:

@@ -21,6 +21,7 @@ from quasiherm import (
     build_omega_I,
     build_omega_K,
     build_omega_KU,
+    build_report,
     evolve_norm_check,
     hermitian_avatar,
     hermitian_dyson,
@@ -243,6 +244,36 @@ class TestHermitianAvatar:
             hermitian_avatar(DIMER_H, dmap)
 
 
+class TestBuildReport:
+    def test_identity_map_of_the_dimer_is_refused(self):
+        # The identity map with the diagonal of the energies offered as its avatar
+        # once reported passed; the avatar is now the map's own, and not Hermitian.
+        h = [[0.75j, 1.25], [1.25, -0.75j]]
+        eye = np.eye(2, dtype=complex)
+        s = solve_schrodinger_pair(h)
+        metric = metric_of(build_omega_I(s))
+        with pytest.raises(AvatarNotHermitian):
+            build_report(h, s, DysonMap(eye, eye, "I"), metric, DEFAULT_TOL)
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8))
+    def test_only_maps_that_hermitize_h_are_certified(self, seed, n):
+        h, system, _k, omega_k = _k_family(seed, n)
+        rng = np.random.default_rng(seed + 1)
+        omega_i = build_omega_I(system)
+        for dmap in (omega_i, omega_k, build_omega_KU(omega_k, random_unitary(rng, n))):
+            avatar, report = build_report(h, system, dmap, metric_of(dmap))
+            assert report.passed
+            assert np.array_equal(avatar, hermitian_avatar(h, dmap))
+        while True:
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            if np.linalg.cond(g) <= 100.0:
+                break
+        wrong = DysonMap(omega=g, omega_inv=np.linalg.inv(g), family="I")
+        with pytest.raises(AvatarNotHermitian):
+            build_report(h, system, wrong, metric_of(wrong))
+
+
 class TestFailureMessages:
     # each message names the measured value and the gate it failed
     def test_not_unitary(self):
@@ -437,6 +468,27 @@ class TestPhysInner:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             phys_inner(np.eye(2), [1.0, 0.0, 0.0], [0.0, 1.0])
+
+
+class TestInputDomains:
+    # each bad input is refused by name where it enters, not deep inside numpy
+    @pytest.mark.parametrize("call,message", [
+        (lambda: evolve_norm_check(DIMER_H, DIMER_THETA, [1.0, 0.0, 0.0], [0.0]),
+         "psi0 has 3 entries for dimension 2"),
+        (lambda: evolve_norm_check(DIMER_H, DIMER_THETA, [1.0, np.nan], [0.0]),
+         "psi0 entries must be finite"),
+        (lambda: evolve_norm_check(DIMER_H, DIMER_THETA, [1.0, 0.0], [0.0, np.inf]),
+         "times must be finite"),
+        (lambda: phys_inner(DIMER_THETA, [1.0, np.nan], [1.0, 0.0]), "psi entries must be finite"),
+        (lambda: phys_inner(DIMER_THETA, [1.0, 0.0], [1.0]), "phi has 1 entries for dimension 2"),
+        (lambda: quasi_hermiticity_residual(np.eye(2), np.eye(3)),
+         "H has shape (2, 2) but the metric has shape (3, 3)"),
+        (lambda: evolve_norm_check(DIMER_H, np.eye(3), [1.0, 0.0], [0.0]),
+         "H has shape (2, 2) but the metric has shape (3, 3)"),
+    ])
+    def test_refused_by_name(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestEvolveNormCheck:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -282,6 +283,31 @@ class TestEpScan:
         except DefectiveMatrix:
             defective = True
         assert defective == (cond > threshold)
+
+    @pytest.mark.parametrize("kappa", [5e-324, 1e-300, 1e-200, 1e-154, 1.0, 1e154, 1e200, 1e300,
+                                       sys.float_info.max / 2])
+    def test_flags_the_ep_over_the_whole_range(self, kappa):
+        # no square of kappa or gamma is taken unscaled, so nothing over- or underflows
+        report = ep_scan(kappa, [-kappa, 0.0, 0.5 * kappa, kappa])
+        assert report.is_ep.tolist() == [True, False, False, True]
+        assert report.ep_locations.tolist() == [-kappa, kappa]
+
+    @given(log_kappa=st.floats(-100.0, 100.0), seed=st.integers(0, 2**32 - 1))
+    def test_flags_match_the_unscaled_threshold(self, log_kappa, seed):
+        # where no square over- or underflows, the flags are those of the plain formula
+        kappa = 10.0**log_kappa
+        rng = np.random.default_rng(seed)
+        grid = np.sort(np.r_[kappa * rng.uniform(-1.5, 1.5, 20), -kappa, kappa])
+        report = ep_scan(kappa, grid)
+        scale = np.sqrt(2.0 * kappa**2 + 2.0 * grid**2)
+        expected = (report.min_gap < 1e-6 * scale) & (report.eigvec_cond > 1e8)
+        assert report.is_ep.tolist() == expected.tolist()
+
+    def test_gap_beyond_the_float_range_refused(self):
+        half = sys.float_info.max / 2
+        for kappa, grid in ((np.nextafter(half, math.inf), [0.0]), (1.0, [0.0, 1e308])):
+            with pytest.raises(ValueError, match=r"^kappa and \|gamma\| must not exceed half"):
+                ep_scan(kappa, grid)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
