@@ -69,6 +69,9 @@ def _add_tol_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _tolerances(args: argparse.Namespace) -> Tolerances:
+    for flag in ("tol_residual", "tol_reality", "tol_positivity"):
+        if not math.isfinite(getattr(args, flag)):
+            raise ValueError(f"--{flag.replace('_', '-')} must be finite")
     return Tolerances(
         residual_rel=args.tol_residual,
         reality_rel=args.tol_reality,

@@ -100,20 +100,30 @@ def _normalize_columns(v: np.ndarray) -> np.ndarray:
     v = v / np.array([np.linalg.norm(v[:, j]) for j in range(v.shape[1])])
     lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
     # hypot matches the scalar abs bit for bit; np.abs can differ by one ulp.
-    return v * (lead.conj() / np.hypot(lead.real, lead.imag))
+    v *= lead.conj() / np.hypot(lead.real, lead.imag)
+    return v
 
 
 # The last factorization no call has reused yet, as {"entry": (key, (w, v, left))}.
-# Each call takes the entry out with one atomic pop, so a stored array reaches
-# at most one caller and no thread can pair one key with another entry's
-# arrays.  The entry serves the next call if it is on the same matrix, as
-# hermitize(h, k_diag=k) right after hermitize(h), and is then gone, so what a
-# call gets never depends on factorizations older than the one before it.
+# The arrays are the read-only ones the factoring call returned, so the entry
+# costs only its key, and no caller can write into what another caller holds.
+# Each call takes the entry out with one atomic pop, so no thread can pair one
+# key with another entry's arrays.  The entry serves the next call if it is on
+# the same matrix, as hermitize(h, k_diag=k) right after hermitize(h), and is
+# then gone, so what a call gets never depends on factorizations older than
+# the one before it.
 _memo: dict = {}
+
+# Theta = Omega† Omega has entries up to about the square of the basis bound
+# ||V||_F ||V^-1||_F, so past the root of the largest float no metric is finite.
+_MAX_BASIS_BOUND = math.sqrt(np.finfo(np.float64).max)
 
 
 def eig_general(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigendecomposition of a general complex matrix with a matched left system.
+
+    The three returned arrays are read-only: a write into any of them raises
+    ValueError.  Copy one to modify it.
 
     Parameters
     ----------
@@ -137,14 +147,19 @@ def eig_general(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarra
     ------
     DefectiveMatrix
         If the right eigenvector basis is singular or has a 2-norm condition
-        number above ``tol.defective_cond``, which signals an exceptional point.
+        number above ``tol.defective_cond``, which signals an exceptional point,
+        or if the bound ||V||_F ||V^-1||_F on that condition number exceeds the
+        square root of the largest float, whatever ``tol.defective_cond`` is.
 
     Notes
     -----
     A successful result is kept, under the exact bytes of the complex128
-    input and ``tol.defective_cond``, until the next call.  If that call has
-    the same key it gets the kept copy, bit for bit what a recomputation
-    gives at a fixed BLAS thread count; either way the copy is released.
+    input and ``tol.defective_cond``, until the next call.  The memo holds the
+    returned arrays themselves, so beyond the caller's arrays it keeps only
+    the n²·16 B key, and a miss makes no copies.  If the next call has the
+    same key it gets the very objects the miss returned, bit for bit what a
+    recomputation gives at a fixed BLAS thread count; either way the entry is
+    released.
     """
     a = as_square_matrix(m)
     key = (a.shape, a.tobytes(), tol.defective_cond)
@@ -153,25 +168,35 @@ def eig_general(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarra
         return entry[1]
     w, v = np.linalg.eig(a)
     order = np.lexsort((w.imag, w.real))
-    w = w[order]
-    v = _normalize_columns(v[:, order])
+    # rebinding v first frees the unsorted basis before the normalized one is made
+    w, v = w[order], v[:, order]
+    v = _normalize_columns(v)
     try:
         vinv = np.linalg.inv(v)
     except np.linalg.LinAlgError:
         raise DefectiveMatrix("eigenvector basis is singular") from None
     # ||V||_F ||V^-1||_F bounds the 2-norm condition from above; the factor 2
     # dwarfs its rounding error, so the SVD runs only where it can decide.
-    if not fro(v) * fro(vinv) <= 0.5 * tol.defective_cond:
+    bound = fro(v) * fro(vinv)
+    if not bound <= 0.5 * tol.defective_cond:
         cond = np.linalg.cond(v)
         if not cond <= tol.defective_cond:
             raise DefectiveMatrix(
                 f"eigenvector basis condition {cond:.3e} exceeds {tol.defective_cond:.1e}"
             )
-    # Inverting the right basis biorthonormalizes exactly, degenerate blocks included.
-    result = (w, v, vinv.conj().T)
-    # order="K" keeps left, an F-ordered view, F-ordered; a C-order copy
-    # would change the bits of later BLAS products.
-    _memo["entry"] = (key, tuple(x.copy(order="K") for x in result))
+    if not bound <= _MAX_BASIS_BOUND:
+        raise DefectiveMatrix(
+            f"eigenvector basis condition bound {bound:.3e} exceeds {_MAX_BASIS_BOUND:.3e}, "
+            "beyond which the metric overflows"
+        )
+    # Inverting the right basis biorthonormalizes exactly, degenerate blocks
+    # included; conjugating in place keeps one n×n copy of the inverse, and
+    # locking that copy, not only its transpose, leaves no writeable way in.
+    np.conjugate(vinv, out=vinv)
+    for x in (w, v, vinv):
+        x.flags.writeable = False
+    result = (w, v, vinv.T)
+    _memo["entry"] = (key, result)
     return result
 
 

@@ -100,26 +100,32 @@ def write_matrix_file(path, m: np.ndarray) -> None:
         fh.write("\n")
 
 
+# ".17g" spells the non-finite floats as no JSON reader does; json.dumps
+# writes these literals, and json.load reads them back.
+_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
 def _fmt_float(x: float) -> str:
     x = float(x)
     # ".17g" renders negative zero as "-0", which json parses as integer zero
     # and drops the sign; force a float literal for that one value
     if x == 0.0 and np.signbit(x):
         return "-0.0"
-    return format(x, ".17g")
+    text = format(x, ".17g")
+    return _NON_FINITE.get(text, text)
 
 
 def _emit_pairs(data: np.ndarray, pad: str) -> str:
     # The generic path's bytes for the same data as [re, im] lists, from one
     # %-format pass over an (entries, 2) float array.  ".17g" writes negative
     # zero as "-0", which can only stand as "[-0," or " -0]"; _fmt_float's
-    # "-0.0" is put back there.
-    if not len(data):
-        return "[]"
+    # "-0.0" is put back there.  The only letters it writes are the "e" of an
+    # exponent and those of "inf" and "nan", which become _NON_FINITE's.
     sep = ",\n" + pad + "  "
     template = "[\n" + pad + "  " + sep.join(["[%.17g, %.17g]"] * len(data)) + "\n" + pad + "]"
     text = template % tuple(data.ravel().tolist())
-    return text.replace("[-0,", "[-0.0,").replace(" -0]", " -0.0]")
+    text = text.replace("[-0,", "[-0.0,").replace(" -0]", " -0.0]")
+    return text.replace("inf", "Infinity").replace("nan", "NaN")
 
 
 def _emit(value, indent: int) -> str:
@@ -137,6 +143,10 @@ def _emit(value, indent: int) -> str:
                 f"cannot serialize an array of shape {value.shape} and dtype {value.dtype}: "
                 "expected an (entries, 2) real array of [re, im] pairs"
             )
+        if value.dtype.kind != "f" or not value.size:
+            # integers and booleans keep every digit, and their JSON type, as
+            # lists; an empty array of any shape has no pairs to format
+            return _emit(value.tolist(), indent)
         return _emit_pairs(value, pad)
     if isinstance(value, (list, tuple)):
         if not value:
@@ -161,7 +171,9 @@ def _emit(value, indent: int) -> str:
 def emit_json(doc) -> str:
     """Render a document in its dict key order with .17g float formatting.
 
-    An (entries, 2) float array renders as its list of [re, im] pairs would.
+    An (entries, 2) real array renders as its ``tolist()`` would.  Non-finite
+    floats render as ``Infinity``, ``-Infinity`` and ``NaN``, as json.dumps
+    writes them.
     """
     return _emit(doc, 0)
 

@@ -8,10 +8,8 @@ from hypothesis import settings
 # checkout's src/ as well, so they import the same tree as the tests.
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
-# ...and fail them on a numpy warning, as pyproject.toml fails the tests themselves.
-os.environ["PYTHONWARNINGS"] = ",".join(
-    filter(None, [os.environ.get("PYTHONWARNINGS"), "error::RuntimeWarning"])
-)
+# ...and fail them on any warning, as pyproject.toml fails the tests themselves.
+os.environ["PYTHONWARNINGS"] = ",".join(filter(None, [os.environ.get("PYTHONWARNINGS"), "error"]))
 
 # Property tests draw the same examples on every run and keep no example
 # database, so a tier-1 run is deterministic; the wall-clock deadline is off

@@ -28,11 +28,12 @@ from quasiherm.matfile import (
 DIMER_H = dimer_hamiltonian(1.25, 0.75)
 
 # Floats whose ".17g" text needs care: signed zeros, subnormals, the ends of
-# the float range, and integral values that print without a decimal point.
+# the float range, integral values that print without a decimal point, and
+# the non-finite values that ".17g" spells as JSON does not.
 AWKWARD_FLOATS = [
     0.0, -0.0, 5e-324, -5e-324, 1e-310, -3.5e-320, 2.2250738585072014e-308,
     1e308, -1e308, 1.7976931348623157e308, 1e-300, -1e-300, 1.0, -2.0, 1e16,
-    -9007199254740993.0, 0.1, -0.1, 1.0 / 3.0, 123456789.0,
+    -9007199254740993.0, 0.1, -0.1, 1.0 / 3.0, 123456789.0, math.inf, -math.inf, math.nan,
 ]
 
 
@@ -161,6 +162,8 @@ def reference_emit(value, indent=0):
     if isinstance(value, float):
         if value == 0.0 and math.copysign(1.0, value) < 0:
             return "-0.0"
+        if not math.isfinite(value):
+            return json.dumps(value)
         return format(value, ".17g")
     if isinstance(value, str):
         return json.dumps(value)
@@ -203,6 +206,23 @@ class TestEmitterBytes:
         with pytest.raises(TypeError, match=re.escape(f"array of shape {array.shape}")):
             emit_json({"x": array})
 
+    @pytest.mark.parametrize("array", [np.array([[True, False]]), np.array([[2**60 + 1, 3]]),
+                                       np.array([[2**64 - 1, 0]], dtype=np.uint64), np.ones((2, 0))])
+    def test_integer_or_empty_arrays_render_as_their_lists(self, array):
+        assert emit_json(array) == emit_json(array.tolist())
+        assert json.loads(emit_json({"x": array}))["x"] == array.tolist()
+
+    def test_non_finite_floats_are_json(self):
+        doc = {"data": np.array([[math.inf, -math.inf], [math.nan, -0.0]]),
+               "scalars": [math.inf, -math.inf, math.nan]}
+        text = emit_json(doc)
+        assert text == reference_emit(doc)
+        assert "[Infinity, -Infinity],\n    [NaN, -0.0]" in text
+        assert '"scalars": [Infinity, -Infinity, NaN]' in text
+        parsed = json.loads(text)
+        assert float_bits(parsed["data"]) == doc["data"].tobytes()
+        assert float_bits(parsed["scalars"]) == float_bits(doc["scalars"])
+
 
 def float_bits(values) -> bytes:
     return np.asarray(values, dtype=np.float64).tobytes()
@@ -211,15 +231,18 @@ def float_bits(values) -> bytes:
 class TestReportRoundTrip:
     @settings(max_examples=40)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8),
-           zeros=st.lists(st.integers(0, 2**16), min_size=1, max_size=4))
-    def test_json_returns_the_float_bits(self, seed, n, zeros):
+           zeros=st.lists(st.integers(0, 2**16), min_size=1, max_size=4),
+           special=st.sampled_from([-0.0, math.inf, -math.inf, math.nan]))
+    def test_json_returns_the_float_bits(self, seed, n, zeros, special):
         h, _energies, _s = random_real_spectrum(np.random.default_rng(seed), n, cond_cap=1e3)
         _sys, _dmap, metric, avatar, report = hermitize(h)
-        # plant negative zeros, whose sign a plain "%.17g" would drop
+        # plant negative zeros, whose sign a plain "%.17g" would drop, and
+        # non-finite values, which "%.17g" spells as json.loads does not read
         floats = [report.energies, metric.theta.view(np.float64), avatar.view(np.float64)]
         for z in zeros:
             target = floats[z % 3].reshape(-1)
-            target[z % target.size] = -0.0
+            target[z % target.size] = -0.0 if z % 2 else special
+        report = dataclasses.replace(report, residual_isospectral=special)
         doc = json.loads(emit_json(report_document(report, metric, avatar, DEFAULT_TOL)))
         assert float_bits(doc["energies"]) == float_bits(report.energies)
         residuals = [report.residual_quasi_herm, report.residual_avatar_herm,
@@ -263,6 +286,23 @@ class TestHermitizeCommand:
     def test_exactly_singular_basis_exit(self, tmp_path):
         path = write_h(tmp_path, "h.json", np.diag([1.0, 1.0], k=1))
         assert main(["hermitize", path]) == 4
+
+    @pytest.mark.parametrize("flag", ["--tol-residual", "--tol-reality", "--tol-positivity"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_tolerance_exit(self, tmp_path, capsys, flag, value):
+        path = write_h(tmp_path, "h.json", DIMER_H)
+        assert main(["hermitize", path, f"{flag}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {flag} must be finite"]
+
+    def test_infinite_residual_is_json(self, tmp_path, capsys):
+        # ||H|| ||Theta|| overflows, so the intertwining residual is infinite
+        path = write_h(tmp_path, "h.json", np.diag([1e300, 2e300]))
+        assert main(["hermitize", path, "--k-diag", "1e5,1e5"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["residuals"]["quasi_hermiticity"] == math.inf
+        assert doc["passed"] is False
 
     def test_malformed_file_exit(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,6 +1,8 @@
 import math
 import sys
 import threading
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +136,17 @@ class TestEigGeneral:
             with pytest.raises(DefectiveMatrix, match="^eigenvector basis is singular$"):
                 hermitize(jordan, tol=tol)
 
+    def test_basis_whose_metric_overflows_raises(self):
+        # the Jordan block's basis inverts with entries near 1e292: Omega† Omega
+        # would overflow, so an infinite gate still refuses it, before any warning
+        jordan = np.array([[0.0, 1.0], [0.0, 0.0]])
+        tol = Tolerances(defective_cond=np.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (eig_general, hermitize):
+                with pytest.raises(DefectiveMatrix, match=r"condition bound 9\.\d{3}e\+291 exceeds"):
+                    call(jordan, tol=tol)
+
     def test_rejects_nonsquare_and_nonfinite(self):
         with pytest.raises(ValueError):
             eig_general(np.ones((2, 3)))
@@ -219,6 +232,12 @@ def _bits(arrays):
     return [(x.tobytes(), x.flags.c_contiguous, x.flags.f_contiguous) for x in arrays]
 
 
+def _assert_read_only(arrays):
+    for x in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            x[...] = 0
+
+
 def _hermitize_bits(h, k, tol):
     system, dmap, metric, avatar, report = hermitize(h, k_diag=k, tol=tol)
     arrays = (
@@ -276,26 +295,60 @@ class TestEigMemo:
         assert hit[2][2]
 
     def test_mutating_results_leaves_memo_intact(self, rng):
+        # every write into a result is refused, so no call sees another's bits
         h, _energies, _s = random_real_spectrum(rng, 5)
-        first = eig_general(h)
-        expected = _bits(first)
-        for x in first:
-            x[...] = 0
-        second = eig_general(h)
-        assert _bits(second) == expected
-        for x in second:
-            x[...] = 0
-        third = eig_general(h)
-        assert _bits(third) == expected
-        for x in third:
-            x[...] = 0
-        assert _bits(eig_general(h)) == expected
+        expected = _bits(eig_general(h))
+        for _ in range(4):  # hit, miss, hit, miss
+            result = eig_general(h)
+            _assert_read_only(result)
+            assert _bits(result) == expected
         system, dmap, _metric, _avatar, _report = hermitize(h)
         before = _hermitize_bits(h, None, Tolerances())
-        system.right_kets[...] = 0
-        dmap.omega_inv[...] = 1
-        dmap.omega[...] = 2
+        _assert_read_only([system.right_kets, dmap.omega_inv])
+        dmap.omega[...] = 2  # a fresh array, which no other call holds
         assert _hermitize_bits(h, None, Tolerances()) == before
+
+    def test_hit_returns_the_objects_of_the_miss(self, rng):
+        h, _energies, _s = random_real_spectrum(rng, 6)
+        eig_general(EVICT)
+        miss = eig_general(h)
+        hit = eig_general(h)
+        assert all(x is y for x, y in zip(hit, miss))
+        again = eig_general(h)
+        assert not any(x is y for x, y in zip(again, miss))
+        assert _bits(again) == _bits(miss)
+
+    def test_eigensystem_is_read_only_everywhere_it_is_handed_out(self, rng):
+        h, _energies, _s = random_real_spectrum(rng, 4)
+        w, v, left = eig_general(h)
+        _assert_read_only([w, v, left, left.base])
+        system, dmap, metric, avatar, _report = hermitize(h)
+        _assert_read_only([system.energies, system.right_kets, system.left_kets, dmap.omega_inv])
+        assert dmap.family == "I" and dmap.omega_inv is system.right_kets
+        # the map, metric and avatar are fresh arrays and stay writeable
+        for x in (dmap.omega, metric.theta, avatar):
+            assert x.flags.writeable
+        kmap = hermitize(h, k_diag=random_k_diag(rng, 4))[1]
+        assert kmap.omega.flags.writeable and kmap.omega_inv.flags.writeable
+
+    def test_memo_keeps_only_its_key(self, rng):
+        # beyond the caller's arrays a miss leaves the n²·16 B key, and makes
+        # no copies on the way; copies would leave 3.0 and peak at 6.0 units
+        n = 128
+        unit = n * n * 16
+        h = np.ascontiguousarray(random_real_spectrum(rng, n, cond_cap=1e3)[0], dtype=complex)
+        eig_general(EVICT)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = eig_general(h)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = sum((x if x.base is None else x.base).nbytes for x in result)
+        assert current - base - held <= 1.1 * unit
+        assert peak - base <= 4.5 * unit
 
     def test_stricter_gates_still_raise_on_a_kept_matrix(self, monkeypatch):
         # cond(V) of this dimer is about 14.1
@@ -339,7 +392,7 @@ class TestEigMemo:
         for h in hs:
             eig_general(EVICT)
             expected.append(_bits(eig_general(h)))
-        mismatches, finished = [], []
+        mismatches, written, finished = [], [], []
 
         def worker(index):
             for _ in range(200):
@@ -347,9 +400,13 @@ class TestEigMemo:
                 result = eig_general(hs[which])
                 if _bits(result) != expected[which]:
                     mismatches.append(which)
-                # a thread handed the same arrays would see these zeros
+                # a write that went through would reach a thread handed the same arrays
                 for x in result:
-                    x[...] = 0
+                    try:
+                        x[...] = 0
+                    except ValueError:
+                        continue
+                    written.append(which)
                 index += 1
             finished.append(index)
 
@@ -365,7 +422,7 @@ class TestEigMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert len(finished) == len(threads)
-        assert mismatches == []
+        assert mismatches == [] and written == []
 
     @settings(max_examples=50)
     @given(
