@@ -212,7 +212,13 @@ def hermitian_avatar(h, dyson_map: DysonMap, tol: Tolerances = DEFAULT_TOL) -> n
     than ``tol.residual_rel`` relative to its norm, which means the supplied
     map does not hermitize this Hamiltonian.
     """
-    a = as_square_matrix(h)
+    return _certified_avatar(as_square_matrix(h), dyson_map, tol)[0]
+
+
+def _certified_avatar(
+    a: np.ndarray, dyson_map: DysonMap, tol: Tolerances
+) -> tuple[np.ndarray, float]:
+    """hermitian_avatar of a validated H, with the Hermiticity residual it was certified by."""
     avatar = dyson_map.omega @ a @ dyson_map.omega_inv
     residual = hermiticity_residual(avatar)
     if not residual <= tol.residual_rel:
@@ -220,7 +226,7 @@ def hermitian_avatar(h, dyson_map: DysonMap, tol: Tolerances = DEFAULT_TOL) -> n
             f"avatar Hermiticity residual {residual:.3e} exceeds {tol.residual_rel:g}: "
             "the map does not hermitize this input"
         )
-    return avatar
+    return avatar, residual
 
 
 def _theta_of(metric) -> np.ndarray:
@@ -296,9 +302,8 @@ def build_report(
 ) -> tuple[np.ndarray, HermitizationReport]:
     """Avatar and residual report of a map; AvatarNotHermitian if it does not hermitize H."""
     a = as_square_matrix(h)
-    avatar = hermitian_avatar(a, dyson_map, tol)
+    avatar, r_avatar = _certified_avatar(a, dyson_map, tol)
     r_quasi = quasi_hermiticity_residual(a, metric)
-    r_avatar = hermiticity_residual(avatar)
     avatar_spec = np.linalg.eigvalsh(herm_part(avatar))
     scale_h = fro(a) or 1.0
     r_iso = float(np.max(np.abs(avatar_spec - system.energies))) / scale_h

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from helpers import dimer_hamiltonian
 from quasiherm import (
+    SIGMA_X,
+    SIGMA_Z,
     DefectiveMatrix,
     DimerParams,
     EPRegion,
@@ -283,6 +285,66 @@ class TestEpScan:
         except DefectiveMatrix:
             defective = True
         assert defective == (cond > threshold)
+
+    @given(
+        log_kappa=st.floats(-150.0, 150.0),
+        near=st.lists(st.tuples(st.floats(-16.0, 0.0), st.sampled_from([1.0, -1.0]),
+                                st.sampled_from([1.0, -1.0])), max_size=12),
+        spread=st.lists(st.floats(-3.0, 3.0, exclude_min=True, exclude_max=True), max_size=12),
+        threshold=st.sampled_from([1e4, 1e8]),
+    )
+    def test_matches_eig_reference(self, log_kappa, near, spread, threshold):
+        # gamma at +-kappa (1 +- delta), at +-kappa, at 0 and spread over (-3 kappa, 3 kappa);
+        # kappa <= 1e150 keeps the reference's squares of kappa and gamma normal
+        kappa = 10.0**log_kappa
+        grid = np.sort(np.r_[[sign * kappa * (1.0 + side * 10.0**x) for x, sign, side in near],
+                             -kappa, 0.0, kappa, kappa * np.asarray(spread)])
+        tol = Tolerances(defective_cond=threshold)
+        report = ep_scan(kappa, grid, tol)
+        gaps, conds, flags, _ = ep_scan_reference(kappa, grid, tol)
+        assert np.array_equal(report.min_gap, gaps)
+        # At gamma = +-kappa exactly, H is nilpotent in floating point, and both condition
+        # numbers measure only rounding (from about 1e11 to inf), beyond the first-order
+        # bound; the flags below still cover those points.
+        off_ep = np.abs(grid) != kappa
+        assert_cond_matches(report.eigvec_cond[off_ep], conds[off_ep])
+        decided = np.abs(conds - threshold) > 1e-6 * threshold
+        assert np.array_equal(report.is_ep[decided], flags[decided])
+
+    @pytest.mark.parametrize("kappa", [1e-150, 1.0, 1e150])
+    def test_condition_far_from_the_ep(self, kappa):
+        # |gamma| >> kappa: of the two closed-form eigenvectors, one has lambda -+ i gamma
+        # cancel to about kappa^2 / (2 |gamma|), which must not be the one taken
+        powers = 10.0 ** np.arange(0.5, 150.5, 0.5)
+        grid = kappa * np.r_[-powers[::-1], powers]
+        v = np.linalg.eig(kappa * SIGMA_X + 1j * grid[:, None, None] * SIGMA_Z)[1]
+        assert_cond_matches(ep_scan(kappa, grid).eigvec_cond, np.linalg.cond(v))
+
+    @pytest.mark.parametrize("kappa", [5e-324, 1e-300, 1e-150, 0.3, 1.0, 1.6, 1e150, 1e300,
+                                       sys.float_info.max / 2])
+    def test_eigvals_keep_the_bits_of_eig(self, kappa):
+        # ep_scan takes its gaps from np.linalg.eigvals and relies on them being the bits
+        # np.linalg.eig gave.  Both call LAPACK's zgeev, with and without eigenvectors.
+        # For n = 2 the Hessenberg reduction does nothing, and zgeev hands zlahqr the same
+        # balanced, scaled matrix either way; computing the Schur form as well only
+        # updates entries outside the 2x2 active block, of which there are none.
+        rng = np.random.default_rng(17)
+        delta = 10.0 ** np.arange(-16.0, 1.0)
+        with np.errstate(over="ignore"):
+            grid = np.r_[kappa * (1.0 - delta), kappa * (1.0 + delta), kappa, 0.0,
+                         kappa * rng.uniform(-3.0, 3.0, 200)]
+        grid = np.r_[grid, -grid]
+        grid = grid[np.abs(grid) <= sys.float_info.max / 2]
+        hmats = kappa * SIGMA_X + 1j * grid[:, None, None] * SIGMA_Z
+        assert np.linalg.eigvals(hmats).tobytes() == np.linalg.eig(hmats)[0].tobytes()
+
+    def test_needs_no_eigenvectors_from_lapack(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ep_scan called np.linalg.eig")
+
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        report = ep_scan(1.0, 0.0 + np.arange(201) * 0.01)
+        assert report.is_ep.tolist() == [i == 100 for i in range(201)]
 
     @pytest.mark.parametrize("kappa", [5e-324, 1e-300, 1e-200, 1e-154, 1.0, 1e154, 1e200, 1e300,
                                        sys.float_info.max / 2])
