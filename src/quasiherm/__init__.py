@@ -41,7 +41,6 @@ from .linalg import (
     Tolerances,
     eig_general,
     herm_exp,
-    herm_sqrt,
     polar_decompose,
 )
 from .matfile import (
@@ -72,7 +71,6 @@ from .observables import (
     SharedMetricResult,
     avatar_of_observable,
     check_diagonal_center,
-    is_quasi_hermitian,
     observable_from_M,
     shared_metric,
 )

@@ -1,5 +1,5 @@
 """Dense complex linear algebra: general eigensystems with biorthogonal left vectors,
-Hermitian square roots and exponentials, and the right polar decomposition."""
+Hermitian exponentials, and the right polar decomposition."""
 
 from __future__ import annotations
 
@@ -8,13 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DefectiveMatrix, NotHermitian, NotPositiveDefinite, SingularInput
+from .errors import DefectiveMatrix, NotHermitian, SingularInput
 
 __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
     "eig_general",
-    "herm_sqrt",
     "polar_decompose",
     "herm_exp",
 ]
@@ -198,27 +197,6 @@ def eig_general(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarra
     result = (w, v, vinv.T)
     _memo["entry"] = (key, result)
     return result
-
-
-def herm_sqrt(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Principal square root of a Hermitian positive definite matrix.
-
-    Raises NotHermitian if the input is not Hermitian within ``tol.residual_rel``
-    and NotPositiveDefinite if any eigenvalue falls at or below
-    ``tol.positivity_rel`` times the matrix norm.
-    """
-    a = as_square_matrix(p)
-    scale = fro(a)
-    if scale == 0:
-        raise NotPositiveDefinite("zero matrix has no positive definite square root")
-    sym = _require_hermitian(a, tol.residual_rel, "herm_sqrt input")
-    lam, u = np.linalg.eigh(sym)
-    if not lam[0] > tol.positivity_rel * scale:
-        raise NotPositiveDefinite(
-            f"smallest eigenvalue {lam[0]:.3e} at or below {tol.positivity_rel:g} * {scale:.3e}"
-        )
-    root = (u * np.sqrt(lam)) @ u.conj().T
-    return herm_part(root)
 
 
 def polar_decompose(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

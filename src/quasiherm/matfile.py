@@ -31,20 +31,17 @@ class MatrixFileError(ValueError):
     """Raised when a matrix document does not satisfy the schema."""
 
 
-def _matrix_doc(m: np.ndarray) -> dict:
-    # The matrix document with `data` as the (entries, 2) float64 view of the
-    # array; emit_json renders it without building Python pair lists.
+def dump_matrix(m: np.ndarray) -> dict:
+    """The matrix document of ``m``, as every writer of this module builds it.
+
+    ``data`` is the (entries, 2) float64 array of row-major [re, im] pairs;
+    emit_json renders it as the pair lists ``data.tolist()`` gives.
+    """
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2:
         raise MatrixFileError(f"expected a 2-d matrix, got shape {a.shape}")
     data = np.ascontiguousarray(a).view(np.float64).reshape(-1, 2)
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": data}
-
-
-def dump_matrix(m: np.ndarray) -> dict:
-    doc = _matrix_doc(m)
-    doc["data"] = doc["data"].tolist()
-    return doc
 
 
 def _plain_pairs(data: list) -> bool:
@@ -96,7 +93,7 @@ def load_matrix_file(path) -> np.ndarray:
 
 def write_matrix_file(path, m: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(emit_json(_matrix_doc(m)))
+        fh.write(emit_json(dump_matrix(m)))
         fh.write("\n")
 
 
@@ -193,8 +190,8 @@ def report_document(
             "isospectrality": report.residual_isospectral,
             "metric_condition": report.metric_condition,
         },
-        "metric": _matrix_doc(metric.theta),
-        "avatar": _matrix_doc(avatar),
+        "metric": dump_matrix(metric.theta),
+        "avatar": dump_matrix(avatar),
         "passed": report.passed,
         "tolerances": asdict(tol),
     }
@@ -207,7 +204,7 @@ def compat_document(result, h1: np.ndarray, h2: np.ndarray, tol: Tolerances) -> 
             "quasi_hermiticity_h1": quasi_hermiticity_residual(h1, result.theta),
             "quasi_hermiticity_h2": quasi_hermiticity_residual(h2, result.theta),
         }
-        doc["metric"] = _matrix_doc(result.theta.theta)
+        doc["metric"] = dump_matrix(result.theta.theta)
     doc["passed"] = result.status == "Found"
     doc["tolerances"] = asdict(tol)
     return doc

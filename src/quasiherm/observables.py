@@ -29,7 +29,6 @@ __all__ = [
     "ObservableCandidate",
     "SharedMetricResult",
     "observable_from_M",
-    "is_quasi_hermitian",
     "avatar_of_observable",
     "check_diagonal_center",
     "shared_metric",
@@ -65,11 +64,6 @@ class SharedMetricResult:
     solution_space_dim: int
 
 
-# Residual of A† Theta = Theta A, normalized by ||A|| ||Theta||: the same check
-# as the metric intertwining defect of a Hamiltonian.
-is_quasi_hermitian = quasi_hermiticity_residual
-
-
 def observable_from_M(metric: Metric, m, tol: Tolerances = DEFAULT_TOL) -> ObservableCandidate:
     """Build the observable Theta^{-1} M from a Hermitian generator M."""
     mm = as_square_matrix(m)
@@ -77,7 +71,9 @@ def observable_from_M(metric: Metric, m, tol: Tolerances = DEFAULT_TOL) -> Obser
         raise NotHermitianGenerator("generator M must be Hermitian")
     mm = herm_part(mm)
     a = np.linalg.solve(metric.theta, mm)
-    return ObservableCandidate(a_matrix=a, m_matrix=mm, residual=is_quasi_hermitian(a, metric))
+    return ObservableCandidate(
+        a_matrix=a, m_matrix=mm, residual=quasi_hermiticity_residual(a, metric)
+    )
 
 
 def avatar_of_observable(a, dyson_map: DysonMap) -> np.ndarray:
@@ -95,7 +91,7 @@ def check_diagonal_center(a, map_i: DysonMap, tol: Tolerances = DEFAULT_TOL) -> 
     if map_i.family != "I":
         raise ValueError("check_diagonal_center expects the reference family 'I' map")
     am = as_square_matrix(a)
-    c = map_i.omega @ am @ map_i.omega_inv
+    c = avatar_of_observable(am, map_i)
     off = c - np.diag(np.diag(c))
     return fro(off) <= tol.residual_rel * (fro(am) or 1.0)
 

@@ -66,7 +66,8 @@ class TestMatrixFiles:
     def test_document_shape(self):
         doc = dump_matrix(np.eye(2))
         assert doc["rows"] == 2 and doc["cols"] == 2
-        assert doc["data"] == [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+        assert doc["data"].tolist() == [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+        assert emit_json(doc) == emit_json({**doc, "data": doc["data"].tolist()})
 
     def test_parse_rejects_bad_documents(self):
         with pytest.raises(MatrixFileError):
@@ -85,7 +86,7 @@ class TestMatrixFiles:
     def test_dump_matches_entrywise(self):
         m = np.array([[complex(-0.0, 0.0), complex(1.5, -0.0)],
                       [complex(-2.0, -0.0), complex(1e-300, 3.0)]])
-        data = dump_matrix(m)["data"]
+        data = dump_matrix(m)["data"].tolist()
         assert data == [[float(z.real), float(z.imag)] for z in m.ravel()]
         flat = [x for pair in data for x in pair]
         assert [np.signbit(x) for x in flat] == [True, False, False, True, True, True, False, False]

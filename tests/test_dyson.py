@@ -34,7 +34,7 @@ from quasiherm import (
 )
 from quasiherm import dyson, linalg, models, observables
 from quasiherm.errors import NotHermitian, NotHermitianGenerator, SingularInput
-from quasiherm.linalg import DEFAULT_TOL, eig_general, fro, herm_sqrt, hermiticity_residual, polar_decompose
+from quasiherm.linalg import DEFAULT_TOL, eig_general, fro, herm_exp, hermiticity_residual, polar_decompose
 from quasiherm.models import (
     DimerParams,
     FermionicParams,
@@ -188,7 +188,7 @@ class TestMetric:
         dmap = DysonMap(omega=np.eye(3), omega_inv=np.eye(3), family="I")
         metric = metric_of(dmap)
         assert np.allclose(metric.theta, np.eye(3))
-        assert np.allclose(herm_sqrt(metric.theta), np.eye(3))
+        assert np.allclose(scipy.linalg.sqrtm(metric.theta), np.eye(3))
         assert metric.min_eigenvalue == pytest.approx(1.0)
 
     def test_closed_dimer_map(self):
@@ -205,7 +205,7 @@ class TestMetric:
 
     def test_sqrt_consistency(self):
         metric = metric_of(closed_dimer_map())
-        root = herm_sqrt(metric.theta)
+        root = scipy.linalg.sqrtm(metric.theta)
         assert np.linalg.norm(root @ root - metric.theta) < 1e-14
 
     def test_singular_map_rejected(self):
@@ -401,7 +401,7 @@ class TestDysonProperties:
         _h, _system, _k, dmap = _k_family(seed, n)
         _u, p = hermitian_dyson(dmap)
         assert np.array_equal(p, p.conj().T)
-        root = herm_sqrt(metric_of(dmap).theta)
+        root = scipy.linalg.sqrtm(metric_of(dmap).theta)
         assert fro(p - root) <= 1e-12 * fro(root)
 
     @settings(max_examples=40)
@@ -612,11 +612,7 @@ _NAN_GATES = {
         lambda m: evolve_norm_check(DIMER_H, DIMER_THETA, [1.0, 0.0], [0.0]), NotQuasiHermitian,
     ),
     "linalg hermiticity": (
-        (linalg, "hermiticity_residual"), _nan, lambda m: herm_sqrt(DIMER_THETA), NotHermitian,
-    ),
-    "herm_sqrt positivity": (
-        (np.linalg, "eigh"), lambda a: (_nan_array(a), np.eye(len(a))),
-        lambda m: herm_sqrt(DIMER_THETA), NotPositiveDefinite,
+        (linalg, "hermiticity_residual"), _nan, lambda m: herm_exp(DIMER_THETA), NotHermitian,
     ),
     "polar_decompose singularity": (
         (np.linalg, "svd"), lambda a: (np.eye(len(a)), _nan_array(a), np.eye(len(a))),

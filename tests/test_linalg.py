@@ -21,14 +21,12 @@ from quasiherm import (
     ComplexSpectrum,
     DefectiveMatrix,
     NotHermitian,
-    NotPositiveDefinite,
     QuasihermError,
     SingularInput,
     Tolerances,
     eig_general,
     evolve_norm_check,
     herm_exp,
-    herm_sqrt,
     hermitize,
     polar_decompose,
     solve_schrodinger_pair,
@@ -155,10 +153,8 @@ class TestEigGeneral:
 
     @pytest.mark.parametrize(
         "call",
-        [eig_general, hermitize, herm_sqrt, herm_exp, polar_decompose,
-         lambda h: shared_metric(h, h)],
-        ids=["eig_general", "hermitize", "herm_sqrt", "herm_exp", "polar_decompose",
-             "shared_metric"],
+        [eig_general, hermitize, herm_exp, polar_decompose, lambda h: shared_metric(h, h)],
+        ids=["eig_general", "hermitize", "herm_exp", "polar_decompose", "shared_metric"],
     )
     def test_rejects_empty_matrix(self, call):
         with pytest.raises(ValueError, match=r"shape \(0, 0\)"):
@@ -482,39 +478,6 @@ class TestHermiticityResidual:
         assert hermiticity_residual(np.zeros((2, 2))) == 0.0
         assert hermiticity_residual(DIMER_THETA) == 0.0
         assert hermiticity_residual(np.array([[0.0, 1.0], [0.0, 0.0]])) == np.sqrt(2.0)
-
-
-class TestHermSqrt:
-    def test_identity(self):
-        assert np.allclose(herm_sqrt(np.eye(3)), np.eye(3), atol=1e-15)
-
-    def test_dimer_metric(self):
-        root = herm_sqrt(DIMER_THETA)
-        assert np.linalg.norm(root @ root - DIMER_THETA) < 1e-14
-        assert np.allclose(
-            np.linalg.eigvalsh(root), [1.0 / np.sqrt(2.0), np.sqrt(2.0)], atol=1e-14
-        )
-        assert np.linalg.norm(root - root.conj().T) < 1e-15
-
-    def test_indefinite_raises(self):
-        with pytest.raises(NotPositiveDefinite):
-            herm_sqrt(np.diag([1.0, -1.0]))
-        with pytest.raises(NotPositiveDefinite):
-            herm_sqrt(np.zeros((2, 2)))
-
-    def test_non_hermitian_raises(self):
-        with pytest.raises(NotHermitian):
-            herm_sqrt(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-    def test_random_against_schur_oracle(self, rng):
-        for _ in range(5):
-            n = int(rng.integers(2, 7))
-            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            p = g.conj().T @ g + np.eye(n)
-            root = herm_sqrt(p)
-            assert np.linalg.norm(root @ root - p) < 1e-12 * np.linalg.norm(p)
-            oracle = scipy.linalg.sqrtm(p)
-            assert np.linalg.norm(root - oracle) < 1e-10 * np.linalg.norm(p)
 
 
 class TestPolarDecompose:
