@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -44,6 +45,10 @@ _MODEL_FLAG_SETS = {
     "dimer": {("omega", "alpha"): dimer_params, ("kappa", "gamma"): dimer_from_coupling},
     "fermion": {("alpha", "beta", "omega"): FermionicParams},
 }
+
+# argparse wraps usage and help at the terminal's width less 2 (COLUMNS, 80 if
+# unset); a fixed width keeps every byte of them independent of the terminal.
+_FORMATTER = functools.partial(argparse.HelpFormatter, width=78)
 
 
 class _Once(argparse.Action):
@@ -165,10 +170,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_compat(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
-    h1 = load_matrix_file(args.h1)
-    h2 = load_matrix_file(args.h2)
-    result = shared_metric(h1, h2, tol=tol)
-    print(emit_json(compat_document(result, h1, h2, tol)))
+    result = shared_metric(load_matrix_file(args.h1), load_matrix_file(args.h2), tol=tol)
+    print(emit_json(compat_document(result, tol)))
     if result.status == "Found":
         return 0
     if result.status == "NoSharedMetric":
@@ -183,10 +186,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="quasiherm",
         description="Dyson maps, physical metrics, and Hermitian avatars "
         "for quasi-Hermitian Hamiltonians.",
+        formatter_class=_FORMATTER,
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(subs.add_parser, formatter_class=_FORMATTER)
 
-    p_herm = subs.add_parser("hermitize", help="construct a Dyson map and metric for H")
+    p_herm = add_parser("hermitize", help="construct a Dyson map and metric for H")
     p_herm.add_argument("input", help="MatrixFile holding H")
     p_herm.add_argument("--k-diag", action=_Once, default=None, metavar="K1,K2,...",
                         help="comma separated complex entries of the diagonal K")
@@ -195,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tol_flags(p_herm)
     p_herm.set_defaults(func=cmd_hermitize)
 
-    p_model = subs.add_parser("model", help="emit the matrices of a worked model")
+    p_model = add_parser("model", help="emit the matrices of a worked model")
     p_model.add_argument("name", choices=("dimer", "fermion"))
     for flag in _MODEL_FLAGS:
         p_model.add_argument(f"--{flag}", action=_Once, type=float, default=None)
@@ -204,14 +209,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tol_flags(p_model)
     p_model.set_defaults(func=cmd_model)
 
-    p_scan = subs.add_parser("scan", help="scan the dimer gain/loss axis for exceptional points")
+    p_scan = add_parser("scan", help="scan the dimer gain/loss axis for exceptional points")
     p_scan.add_argument("--kappa", action=_Once, type=float, required=True)
     p_scan.add_argument("--gamma-min", action=_Once, type=float, required=True)
     p_scan.add_argument("--gamma-max", action=_Once, type=float, required=True)
     p_scan.add_argument("--step", action=_Once, type=float, required=True)
     p_scan.set_defaults(func=cmd_scan)
 
-    p_compat = subs.add_parser("compat", help="decide whether two Hamiltonians share a metric")
+    p_compat = add_parser("compat", help="decide whether two Hamiltonians share a metric")
     p_compat.add_argument("h1", help="MatrixFile holding the first Hamiltonian")
     p_compat.add_argument("h2", help="MatrixFile holding the second Hamiltonian")
     # accepted so that older scripts keep running; it never had an effect

@@ -13,7 +13,7 @@ from itertools import chain
 
 import numpy as np
 
-from .dyson import HermitizationReport, Metric, quasi_hermiticity_residual
+from .dyson import HermitizationReport, Metric
 from .linalg import Tolerances
 
 __all__ = [
@@ -197,13 +197,11 @@ def report_document(
     }
 
 
-def compat_document(result, h1: np.ndarray, h2: np.ndarray, tol: Tolerances) -> dict:
+def compat_document(result, tol: Tolerances) -> dict:
     doc = {"status": result.status, "solution_space_dim": result.solution_space_dim}
     if result.theta is not None:
-        doc["residuals"] = {
-            "quasi_hermiticity_h1": quasi_hermiticity_residual(h1, result.theta),
-            "quasi_hermiticity_h2": quasi_hermiticity_residual(h2, result.theta),
-        }
+        r1, r2 = result.residuals
+        doc["residuals"] = {"quasi_hermiticity_h1": r1, "quasi_hermiticity_h2": r2}
         doc["metric"] = dump_matrix(result.theta.theta)
     doc["passed"] = result.status == "Found"
     doc["tolerances"] = asdict(tol)

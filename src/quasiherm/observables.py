@@ -53,7 +53,8 @@ class ObservableCandidate:
 class SharedMetricResult:
     """Outcome of the common-metric decision for a pair of Hamiltonians.
 
-    status is "Found", "NoSharedMetric", or "Inconclusive".  theta is present
+    status is "Found", "NoSharedMetric", or "Inconclusive".  theta, and the
+    intertwining residuals of h1 and h2 on it that certified it, are present
     exactly when status is "Found".  solution_space_dim counts the real
     dimension of the Hermitian solution space of the intertwining constraints,
     before positivity is imposed.
@@ -62,6 +63,7 @@ class SharedMetricResult:
     status: str
     theta: Metric | None
     solution_space_dim: int
+    residuals: tuple[float, float] | None = None
 
 
 def observable_from_M(metric: Metric, m, tol: Tolerances = DEFAULT_TOL) -> ObservableCandidate:
@@ -118,22 +120,18 @@ def _base(mats, tol: Tolerances) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarr
             complex_seen |= isinstance(exc, ComplexSpectrum)
             continue
         gaps = np.diff(system.energies) / (fro(b) or 1.0)
-        gap = gaps.min(initial=np.inf)
-        if gap > tol.reality_rel:
-            key = (n, -gap)
-        else:  # the sum of squared cluster sizes, then the smallest gap between clusters
-            split = gaps > tol.reality_rel
-            sizes = np.bincount(np.cumsum(np.r_[0, split]))
-            key = (np.sum(sizes * sizes), -gaps[split].min(initial=np.inf))
+        split = gaps > tol.reality_rel
+        labels = np.concatenate(([0], np.cumsum(split)))
+        sizes = np.bincount(labels)
+        key = (sizes @ sizes, -gaps[split].min(initial=np.inf))
         if best is None or key < best[0]:
-            best = key, system.left_kets, gaps
+            best = key, system.left_kets, labels
     if best is None:
         return np.eye(n, dtype=np.complex128), np.triu_indices(n, 1), complex_seen
-    (squares, _gap), left, gaps = best
+    (squares, _gap), left, labels = best
     kets = left / np.linalg.norm(left, axis=0)
     if squares == n:
         return kets, (np.empty(0, int), np.empty(0, int)), False
-    labels = np.r_[0, np.cumsum(gaps > tol.reality_rel)]
     for j in np.flatnonzero(np.bincount(labels) > 1):
         kets[:, labels == j] = np.linalg.qr(kets[:, labels == j])[0]
     return kets, np.nonzero(np.triu(labels[:, None] == labels, 1)), complex_seen
@@ -153,18 +151,19 @@ def _units(kets: np.ndarray, iu: np.ndarray, ju: np.ndarray) -> np.ndarray:
     return np.concatenate([diagonal, (off + adj) * r, (off - adj) * (1j * r)])
 
 
-def _certify(candidate: np.ndarray, mats, tol: Tolerances) -> Metric | None:
-    """The candidate scaled to trace n, if it passes every metric check."""
+def _certify(candidate: np.ndarray, mats, tol: Tolerances) -> tuple[Metric, tuple] | None:
+    """(metric, residuals) of the candidate scaled to trace n, if it passes every check."""
     trace = np.trace(candidate).real
     if not trace > 0:
         return None
-    theta = candidate * (candidate.shape[0] / trace)
-    if not all(quasi_hermiticity_residual(a, theta) <= tol.residual_rel for a in mats):
-        return None
     try:
-        return metric_from_theta(theta, tol)
+        metric = metric_from_theta(candidate * (candidate.shape[0] / trace), tol)
     except NotPositiveDefinite:
         return None
+    residuals = tuple(quasi_hermiticity_residual(a, metric) for a in mats)
+    if not all(r <= tol.residual_rel for r in residuals):
+        return None
+    return metric, residuals
 
 
 def shared_metric(h1, h2, tol: Tolerances = DEFAULT_TOL) -> SharedMetricResult:
@@ -178,10 +177,13 @@ def shared_metric(h1, h2, tol: Tolerances = DEFAULT_TOL) -> SharedMetricResult:
     ``tol.residual_rel`` checks, is tried at the projection of W = I.  For a
     simple base W is diagonal and the null space splits into blocks with
     disjoint supports, so a metric exists exactly when that projection is
-    entrywise positive.  Otherwise a complex spectrum among the candidates
-    proves NoSharedMetric (a shared metric serves every real combination of
-    h1 and h2), as does an empty space or a line whose generator fails; else
-    Inconclusive.  A returned metric has trace n and passes every check.
+    entrywise positive; a positive projection whose metric then fails its
+    certificate, as rounding in an ill-conditioned eigenbasis can make it, is
+    Inconclusive.  Otherwise a complex spectrum among the candidates proves
+    NoSharedMetric (a shared metric serves every real combination of h1 and
+    h2), as does an empty space or a line whose generator fails; else
+    Inconclusive.  A returned metric has trace n and passes every check, and
+    the result carries the residuals of h1 and h2 that passed.
     """
     mats = a1, a2 = as_square_matrix(h1), as_square_matrix(h2)
     if a1.shape != a2.shape:
@@ -204,9 +206,11 @@ def shared_metric(h1, h2, tol: Tolerances = DEFAULT_TOL) -> SharedMetricResult:
     blocked = not iu.size and not x.min() > tol.positivity_rel * np.abs(x).max()
     if proven or dim == 0 or blocked:
         return SharedMetricResult(status="NoSharedMetric", theta=None, solution_space_dim=dim)
-    theta = _certify(np.tensordot(x, basis, axes=1), mats, tol)
-    if theta is not None:
-        return SharedMetricResult(status="Found", theta=theta, solution_space_dim=dim)
+    certified = _certify(np.tensordot(x, basis, axes=1), mats, tol)
+    if certified is not None:
+        theta, residuals = certified
+        return SharedMetricResult(status="Found", theta=theta, solution_space_dim=dim,
+                                  residuals=residuals)
     # In any basis a positive definite Theta has positive trace, so on a line
     # only the projected generator can be a metric.
     status = "NoSharedMetric" if iu.size and dim == 1 else "Inconclusive"

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import dimer_hamiltonian, random_real_spectrum
-from quasiherm import DEFAULT_TOL, Metric, errors, hermitize
+from quasiherm import DEFAULT_TOL, Metric, errors, hermitize, shared_metric
 from quasiherm.cli import _tolerances, build_parser, main
 from quasiherm.matfile import (
     MatrixFileError,
@@ -672,6 +672,17 @@ class TestCompatCommand:
         assert "metric" in doc
         assert doc["residuals"]["quasi_hermiticity_h1"] < 1e-10
 
+    def test_residuals_are_the_library_result(self, tmp_path, capsys):
+        h = random_real_spectrum(np.random.default_rng(4), 4)[0]
+        p1 = write_h(tmp_path, "h1.json", h)
+        p2 = write_h(tmp_path, "h2.json", 2.0 * h + h @ h @ h)
+        assert main(["compat", p1, p2]) == 0
+        printed = json.loads(capsys.readouterr().out)["residuals"]
+        result = shared_metric(load_matrix_file(p1), load_matrix_file(p2))
+        assert tuple(printed.values()) == result.residuals
+        assert list(printed) == ["quasi_hermiticity_h1", "quasi_hermiticity_h2"]
+        assert result.residuals[0] != result.residuals[1]
+
     def test_no_shared_metric(self, tmp_path, capsys):
         p1 = write_h(tmp_path, "h1.json", DIMER_H)
         p2 = write_h(tmp_path, "h2.json", [[1.0, 0.0], [0.0, -1.0]])
@@ -697,7 +708,31 @@ class TestCompatCommand:
         assert "--seed" not in capsys.readouterr().out
 
 
+# Every command line whose output argparse formats: each --help, and a usage
+# line with each kind of refusal.
+_ARGPARSE_OUTPUT = [
+    ["--help"],
+    *[[command, "--help"] for command in ("hermitize", "model", "scan", "compat")],
+    ["compat", "h1.json"],
+    ["model", "dimer", "--omega", "1", "--alpha", "0.5", "--omega=2"],
+    ["frobnicate"],
+    [],
+]
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("argv", _ARGPARSE_OUTPUT, ids=lambda argv: " ".join(argv) or "none")
+    def test_bytes_do_not_depend_on_terminal_width(self, monkeypatch, capsys, argv):
+        outputs = {}
+        for columns in ("80", "40", "200", None):
+            if columns is None:
+                monkeypatch.delenv("COLUMNS", raising=False)
+            else:
+                monkeypatch.setenv("COLUMNS", columns)
+            outputs[columns] = (main(argv), *capsys.readouterr())
+        assert outputs["80"][1] or outputs["80"][2]
+        assert outputs == dict.fromkeys(outputs, outputs["80"])
+
     def test_hermitize_byte_identical(self, tmp_path):
         path = write_h(tmp_path, "h.json", DIMER_H)
         a = run_cli("hermitize", path, "--k-diag", "2,0.5", "--hermitian-omega")

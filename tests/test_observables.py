@@ -265,8 +265,8 @@ def _reference_simple(h1, h2, tol=DEFAULT_TOL):
     dim = null.shape[1]
     if dim == 0 or not x.min() > tol.positivity_rel * np.abs(x).max():
         return "NoSharedMetric", None, dim
-    theta = observables._certify(np.tensordot(x, basis, axes=1), mats, tol)
-    return ("Inconclusive" if theta is None else "Found"), theta, dim
+    certified = observables._certify(np.tensordot(x, basis, axes=1), mats, tol)
+    return ("Inconclusive", None, dim) if certified is None else ("Found", certified[0], dim)
 
 
 @st.composite
@@ -465,6 +465,16 @@ class TestSharedMetricDecision:
         p = sum(c * np.linalg.matrix_power(h, k) for k, c in enumerate(coefficients))
         assert shared_metric(h, p).status == "Found"
         assert shared_metric(p, h).status == "Found"
+
+    @given(_any_pair())
+    def test_found_carries_the_residuals_it_passed(self, pair):
+        result = shared_metric(*pair)
+        if result.status != "Found":
+            assert result.residuals is None
+            return
+        expected = [quasi_hermiticity_residual(h, result.theta) for h in pair]
+        assert [r.hex() for r in result.residuals] == [r.hex() for r in expected]
+        assert all(r <= DEFAULT_TOL.residual_rel for r in result.residuals)
 
     @given(_any_pair())
     def test_status_symmetric_for_any_pair(self, pair):

@@ -55,9 +55,13 @@ def _conjugated(h, u, w):
     return [[x[i][j] + u[i] * wx[j] for j in range(n)] for i in range(n)]
 
 
-def _real_spectrum(n: int, seed: int) -> bytes:
-    """A dense H with distinct real eigenvalues, similar to a diagonal through
-    three rank-one updates of the identity, each with a closed-form inverse."""
+def _matmul(a, b):
+    return [[sum(row[k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))] for row in a]
+
+
+def _real_spectrum(n: int, seed: int) -> list:
+    """Rows of a dense H with distinct real eigenvalues, similar to a diagonal
+    through three rank-one updates of the identity, each with a closed-form inverse."""
     rng = random.Random(seed)
     energies = [k - (n - 1) / 2 + rng.uniform(0.0, 0.3) for k in range(n)]
     h = [[complex(energies[i]) if i == j else 0j for j in range(n)] for i in range(n)]
@@ -66,7 +70,13 @@ def _real_spectrum(n: int, seed: int) -> bytes:
         u, w = ([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * scale for _ in range(n)]
                 for _ in range(2))
         h = _conjugated(h, u, w)
-    return _matrix(h)
+    return h
+
+
+def _cubic(h):
+    # 2h + h^3, which shares every metric of h
+    h3 = _matmul(h, _matmul(h, h))
+    return [[2 * x + y for x, y in zip(row, row3)] for row, row3 in zip(h, h3)]
 
 
 def _fermion() -> bytes:
@@ -76,16 +86,18 @@ def _fermion() -> bytes:
     return _matrix(h)
 
 
-DIMER = _matrix([[0.75j, 1.25], [1.25, -0.75j]])
+DIMER = [[0.75j, 1.25], [1.25, -0.75j]]
 
 # Input file name -> a function giving its bytes.
 INPUTS = {
-    "H.json": lambda: DIMER,
-    "H1.json": lambda: DIMER,
-    "H2.json": lambda: DIMER,
+    "H.json": lambda: _matrix(DIMER),
+    "H1.json": lambda: _matrix(DIMER),
+    "H2.json": lambda: _matrix(DIMER),
+    "H_squared.json": lambda: _matrix(_matmul(DIMER, DIMER)),
     "fermion.json": _fermion,
-    "n8.json": lambda: _real_spectrum(8, 8),
-    "n256.json": lambda: _real_spectrum(256, 256),
+    "n8.json": lambda: _matrix(_real_spectrum(8, 8)),
+    "n8_cubic.json": lambda: _matrix(_cubic(_real_spectrum(8, 8))),
+    "n256.json": lambda: _matrix(_real_spectrum(256, 256)),
     "sigma_z.json": lambda: _matrix([[1, 0], [0, -1]]),
     "big.json": lambda: _matrix([[1e300, 0], [0, 2e300]]),
     "eye3.json": lambda: _matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
@@ -131,6 +143,9 @@ COMMANDS = [
     # a second scan grid, with gamma = -kappa and kappa on it
     (["scan", "--kappa", "2", "--gamma-min", "-3", "--gamma-max", "3", "--step", "0.125"], 0),
     (["compat", "n8.json", "n8.json", "--seed", "3"], 0),
+    # a metric found for two different Hamiltonians: two different residuals
+    (["compat", "H.json", "H_squared.json"], 0),
+    (["compat", "n8.json", "n8_cubic.json"], 0),
     # exit codes 1 and 3-8
     (["hermitize", "H.json", "--tol-reality", "1e-16"], 1),
     # ||H|| ||Theta|| overflows: the residual prints as Infinity
@@ -196,7 +211,7 @@ class Outcome:
 
 
 def _env(tree: Path) -> dict:
-    # argparse wraps usage and help text at COLUMNS, so it is fixed too
+    # older revisions let argparse wrap usage and help text at COLUMNS, so it is fixed too
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", COLUMNS="80")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
     env["PYTHONDONTWRITEBYTECODE"] = "1"
