@@ -149,11 +149,7 @@ def build_omega_K(base: DysonMap, k_diag, tol: Tolerances = DEFAULT_TOL) -> Dyso
     """
     if base.family != "I":
         raise ValueError("build_omega_K expects the reference family 'I' map")
-    k = np.asarray(k_diag, dtype=np.complex128).ravel()
-    if k.size != base.dimension:
-        raise ValueError(f"k_diag has {k.size} entries for dimension {base.dimension}")
-    if not np.isfinite(k).all():
-        raise ValueError("k_diag entries must be finite")
+    k = _state(k_diag, base.dimension, "k_diag")
     mags = np.abs(k)
     if not mags.min() > tol.positivity_rel * mags.max():
         raise SingularScaling(
@@ -320,19 +316,41 @@ def build_report(
     return avatar, report
 
 
+# The eigensystem the last hermitize miss computed, as {"entry": (key, system)},
+# kept for the next call only, so hermitize(h) then hermitize(h, k_diag=k)
+# factors H once.  Its arrays are read-only, so the entry costs only its key;
+# one atomic pop per call keeps threads from pairing a key with another system.
+_last_system: dict = {}
+
+
+def _system_of(a: np.ndarray, tol: Tolerances) -> BiorthogonalSystem:
+    # a function of its own, so the key and the popped entry are freed before
+    # the rest of hermitize allocates its n×n products
+    key = (a.shape, a.tobytes(), tol)
+    entry = _last_system.pop("entry", None)
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    system = solve_schrodinger_pair(a, tol)
+    _last_system["entry"] = (key, system)
+    return system
+
+
 def hermitize(h, k_diag=None, hermitian_map: bool = False, tol: Tolerances = DEFAULT_TOL):
     """Full pipeline from a Hamiltonian to (system, map, metric, avatar, report).
 
     Builds Omega_I from the biorthogonal eigensystem, optionally rescales by
     k_diag, and optionally rotates by the polar unitary so the final map is
-    Hermitian positive definite.
+    Hermitian positive definite.  The system a call computes is kept for the
+    next call only, which reuses it if its H (to the byte) and ``Tolerances``
+    are the same.
     """
-    system = solve_schrodinger_pair(h, tol)
+    a = as_square_matrix(h)
+    system = _system_of(a, tol)
     dmap = build_omega_I(system)
     if k_diag is not None:
         dmap = build_omega_K(dmap, k_diag, tol)
     if hermitian_map:
         dmap = build_omega_KU(dmap, hermitian_dyson(dmap, tol)[0], tol)
     metric = metric_of(dmap, tol)
-    avatar, report = build_report(h, system, dmap, metric, tol)
+    avatar, report = build_report(a, system, dmap, metric, tol)
     return system, dmap, metric, avatar, report

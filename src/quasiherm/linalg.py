@@ -94,24 +94,16 @@ def _require_hermitian(a: np.ndarray, rel: float, what: str) -> np.ndarray:
 def _normalize_columns(v: np.ndarray) -> np.ndarray:
     # Unit columns with the largest-magnitude component rotated to the positive
     # real axis; ties resolve to the first maximal index, so the output is a
-    # deterministic function of the input matrix.  Norms are taken column by
-    # column: norm(v, axis=0) sums in another order and changes the bits.
-    v = v / np.array([np.linalg.norm(v[:, j]) for j in range(v.shape[1])])
+    # deterministic function of the input matrix.  Each column norm is
+    # np.linalg.norm's sum of squares over that column, read as a contiguous
+    # row of the transpose's copy; norm(v, axis=0) sums in another order and
+    # changes the bits.
+    v = v / np.array([math.sqrt(_sum_squares(r.real, r.imag)) for r in v.T.copy()])
     lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
     # hypot matches the scalar abs bit for bit; np.abs can differ by one ulp.
     v *= lead.conj() / np.hypot(lead.real, lead.imag)
     return v
 
-
-# The last factorization no call has reused yet, as {"entry": (key, (w, v, left))}.
-# The arrays are the read-only ones the factoring call returned, so the entry
-# costs only its key, and no caller can write into what another caller holds.
-# Each call takes the entry out with one atomic pop, so no thread can pair one
-# key with another entry's arrays.  The entry serves the next call if it is on
-# the same matrix, as hermitize(h, k_diag=k) right after hermitize(h), and is
-# then gone, so what a call gets never depends on factorizations older than
-# the one before it.
-_memo: dict = {}
 
 # Theta = Omega† Omega has entries up to about the square of the basis bound
 # ||V||_F ||V^-1||_F, so past the root of the largest float no metric is finite.
@@ -149,22 +141,8 @@ def eig_general(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarra
         number above ``tol.defective_cond``, which signals an exceptional point,
         or if the bound ||V||_F ||V^-1||_F on that condition number exceeds the
         square root of the largest float, whatever ``tol.defective_cond`` is.
-
-    Notes
-    -----
-    A successful result is kept, under the exact bytes of the complex128
-    input and ``tol.defective_cond``, until the next call.  The memo holds the
-    returned arrays themselves, so beyond the caller's arrays it keeps only
-    the n²·16 B key, and a miss makes no copies.  If the next call has the
-    same key it gets the very objects the miss returned, bit for bit what a
-    recomputation gives at a fixed BLAS thread count; either way the entry is
-    released.
     """
     a = as_square_matrix(m)
-    key = (a.shape, a.tobytes(), tol.defective_cond)
-    entry = _memo.pop("entry", None)
-    if entry is not None and entry[0] == key:
-        return entry[1]
     w, v = np.linalg.eig(a)
     order = np.lexsort((w.imag, w.real))
     # rebinding v first frees the unsorted basis before the normalized one is made
@@ -194,9 +172,7 @@ def eig_general(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarra
     np.conjugate(vinv, out=vinv)
     for x in (w, v, vinv):
         x.flags.writeable = False
-    result = (w, v, vinv.T)
-    _memo["entry"] = (key, result)
-    return result
+    return w, v, vinv.T
 
 
 def polar_decompose(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

@@ -208,7 +208,7 @@ class TestDefectivenessGate:
             assert outcomes == {(False, False), (True, False), (True, True)}, limit
 
 
-# Factoring this matrix replaces whatever eig_general has kept.
+# hermitize on this matrix replaces whatever eigensystem hermitize has kept.
 EVICT = np.diag([1.0, 2.0, 3.0])
 
 
@@ -226,6 +226,16 @@ def _count_eig(monkeypatch):
 
 def _bits(arrays):
     return [(x.tobytes(), x.flags.c_contiguous, x.flags.f_contiguous) for x in arrays]
+
+
+def _eigensystem(system):
+    return system.energies, system.right_kets, system.left_kets
+
+
+def _held_bytes(arrays):
+    # each distinct buffer once: views share their base's
+    bases = {id(b): b for b in (x if x.base is None else x.base for x in arrays)}
+    return sum(b.nbytes for b in bases.values())
 
 
 def _assert_read_only(arrays):
@@ -248,20 +258,61 @@ def _hermitize_bits(h, k, tol):
 
 
 class TestEigMemo:
+    # hermitize keeps the eigensystem it computed for the next call only;
+    # eig_general and every other caller keep nothing
     def test_next_call_on_same_matrix_factors_once(self, rng, monkeypatch):
         h, _energies, _s = random_real_spectrum(rng, 6)
-        eig_general(EVICT)
+        k = random_k_diag(rng, 6)
+        hermitize(EVICT)
         calls = _count_eig(monkeypatch)
         _sys, _dmap, metric, _avatar, _report = hermitize(h)
-        hermitize(h, k_diag=random_k_diag(rng, 6))
+        hermitize(h, k_diag=k)
         assert len(calls) == 1
-        # the hit released the kept factorization
-        evolve_norm_check(h, metric, np.ones(6), np.linspace(0.0, 1.0, 5))
-        assert len(calls) == 2
-        evolve_norm_check(h, metric, np.ones(6), np.linspace(0.0, 1.0, 5))
-        assert len(calls) == 2
+        # evolve_norm_check factors for itself, every time
+        for expected in (2, 3):
+            evolve_norm_check(h, metric, np.ones(6), np.linspace(0.0, 1.0, 5))
+            assert len(calls) == expected
+        # the hit released the kept system
+        hermitize(h)
+        hermitize(h, k_diag=k)
+        assert len(calls) == 4
         hermitize(random_real_spectrum(rng, 6)[0])
-        assert len(calls) == 3
+        assert len(calls) == 5
+
+    def test_eig_general_factors_every_call_and_keeps_nothing(self, rng, monkeypatch):
+        # beyond its result a call leaves nothing allocated: a kept entry's
+        # n²·16 B key alone would show as one unit
+        n = 128
+        unit = n * n * 16
+        h = np.ascontiguousarray(random_real_spectrum(rng, n, cond_cap=1e3)[0], dtype=complex)
+        calls = _count_eig(monkeypatch)
+        first = eig_general(h)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = eig_general(h)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == 2
+        assert not any(x is y for x, y in zip(result, first))
+        assert _bits(result) == _bits(first)
+        assert current - base - _held_bytes(result) <= 0.1 * unit
+        assert peak - base <= 4.5 * unit
+
+    def test_other_callers_between_calls_keep_the_entry(self, rng, monkeypatch):
+        h, _energies, _s = random_real_spectrum(rng, 6)
+        p = random_real_spectrum(rng, 4)[0]
+        hermitize(EVICT)
+        calls = _count_eig(monkeypatch)
+        _sys, _dmap, metric, _avatar, _report = hermitize(h)
+        shared_metric(p, p @ p)
+        evolve_norm_check(h, metric, np.ones(6), np.linspace(0.0, 1.0, 5))
+        eig_general(h)
+        before = len(calls)
+        hermitize(h, k_diag=random_k_diag(rng, 6))
+        assert len(calls) == before
 
     def test_state_after_a_hit_is_independent_of_history(self, rng, monkeypatch):
         # whichever draw a plain/k_diag round ends on, the next round's first
@@ -278,48 +329,48 @@ class TestEigMemo:
 
     def test_hit_matches_fresh_bits(self, rng, monkeypatch):
         h, _energies, _s = random_real_spectrum(rng, 16, cond_cap=1e3)
-        eig_general(EVICT)
+        k = random_k_diag(rng, 16)
+        hermitize(EVICT)
         calls = _count_eig(monkeypatch)
-        fresh = _bits(eig_general(h))
-        hit = _bits(eig_general(h))
+        plain = _hermitize_bits(h, None, Tolerances())
+        hit = _hermitize_bits(h, k, Tolerances())
         assert len(calls) == 1
-        eig_general(EVICT)
-        again = _bits(eig_general(h))
+        hermitize(EVICT)
+        fresh = _hermitize_bits(h, k, Tolerances())
         assert len(calls) == 3
-        assert hit == fresh == again
+        assert hit == fresh
+        assert hit[0][:3] == plain[0][:3]
         # left is the conjugate transpose of inv(V): F-ordered on every path
-        assert hit[2][2]
+        assert hit[0][2][2]
 
     def test_mutating_results_leaves_memo_intact(self, rng):
-        # every write into a result is refused, so no call sees another's bits
+        # every write into the kept system is refused, so no call sees another's bits
         h, _energies, _s = random_real_spectrum(rng, 5)
-        expected = _bits(eig_general(h))
-        for _ in range(4):  # hit, miss, hit, miss
-            result = eig_general(h)
-            _assert_read_only(result)
-            assert _bits(result) == expected
-        system, dmap, _metric, _avatar, _report = hermitize(h)
-        before = _hermitize_bits(h, None, Tolerances())
-        _assert_read_only([system.right_kets, dmap.omega_inv])
-        dmap.omega[...] = 2  # a fresh array, which no other call holds
-        assert _hermitize_bits(h, None, Tolerances()) == before
+        hermitize(EVICT)
+        fresh = _hermitize_bits(h, None, Tolerances())
+        hermitize(EVICT)
+        system, dmap, metric, avatar, _report = hermitize(h)
+        _assert_read_only([*_eigensystem(system), dmap.omega_inv])
+        for x in (dmap.omega, metric.theta, avatar):
+            x[...] = 2  # a fresh array, which no other call holds
+        assert _hermitize_bits(h, None, Tolerances()) == fresh
 
     def test_hit_returns_the_objects_of_the_miss(self, rng):
         h, _energies, _s = random_real_spectrum(rng, 6)
-        eig_general(EVICT)
-        miss = eig_general(h)
-        hit = eig_general(h)
-        assert all(x is y for x, y in zip(hit, miss))
-        again = eig_general(h)
-        assert not any(x is y for x, y in zip(again, miss))
-        assert _bits(again) == _bits(miss)
+        hermitize(EVICT)
+        miss = hermitize(h)[0]
+        assert hermitize(h, k_diag=random_k_diag(rng, 6))[0] is miss
+        again = hermitize(h)[0]
+        assert again is not miss
+        assert not any(x is y for x, y in zip(_eigensystem(again), _eigensystem(miss)))
+        assert _bits(_eigensystem(again)) == _bits(_eigensystem(miss))
 
     def test_eigensystem_is_read_only_everywhere_it_is_handed_out(self, rng):
         h, _energies, _s = random_real_spectrum(rng, 4)
         w, v, left = eig_general(h)
         _assert_read_only([w, v, left, left.base])
         system, dmap, metric, avatar, _report = hermitize(h)
-        _assert_read_only([system.energies, system.right_kets, system.left_kets, dmap.omega_inv])
+        _assert_read_only([*_eigensystem(system), dmap.omega_inv])
         assert dmap.family == "I" and dmap.omega_inv is system.right_kets
         # the map, metric and avatar are fresh arrays and stay writeable
         for x in (dmap.omega, metric.theta, avatar):
@@ -328,76 +379,78 @@ class TestEigMemo:
         assert kmap.omega.flags.writeable and kmap.omega_inv.flags.writeable
 
     def test_memo_keeps_only_its_key(self, rng):
-        # beyond the caller's arrays a miss leaves the n²·16 B key, and makes
-        # no copies on the way; copies would leave 3.0 and peak at 6.0 units
+        # beyond the caller's arrays a miss leaves only its entry's n²·16 B key
         n = 128
         unit = n * n * 16
         h = np.ascontiguousarray(random_real_spectrum(rng, n, cond_cap=1e3)[0], dtype=complex)
-        eig_general(EVICT)
+        hermitize(EVICT)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            result = eig_general(h)
-            current, peak = tracemalloc.get_traced_memory()
+            system, dmap, metric, avatar, report = hermitize(h)
+            current = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        held = sum((x if x.base is None else x.base).nbytes for x in result)
+        held = _held_bytes(
+            [*_eigensystem(system), dmap.omega, metric.theta, metric.eigenvalues, avatar, report.energies]
+        )
         assert current - base - held <= 1.1 * unit
-        assert peak - base <= 4.5 * unit
 
     def test_stricter_gates_still_raise_on_a_kept_matrix(self, monkeypatch):
-        # cond(V) of this dimer is about 14.1
-        h = dimer_hamiltonian(1.0, 0.99)
-        eig_general(EVICT)
+        # any other Tolerances is another key, so each call runs its own gates
+        h = dimer_hamiltonian(1.0, 0.99)  # cond(V) is about 14.1
+        hermitize(EVICT)
         calls = _count_eig(monkeypatch)
-        eig_general(h)
+        hermitize(h)
         with pytest.raises(DefectiveMatrix):
-            eig_general(h, Tolerances(defective_cond=10.0))
+            hermitize(h, tol=Tolerances(defective_cond=10.0))
         assert len(calls) == 2
         # imaginary parts of 1e-12 pass the default reality gate only
         z = np.diag([1.0 + 1e-12j, -1.0])
-        solve_schrodinger_pair(z)
-        before = len(calls)
+        hermitize(z)
         with pytest.raises(ComplexSpectrum):
-            solve_schrodinger_pair(z, Tolerances(reality_rel=1e-14))
-        assert len(calls) == before
+            hermitize(z, tol=Tolerances(reality_rel=1e-14))
+        assert len(calls) == 4
 
     def test_signed_zero_is_a_separate_key(self, monkeypatch):
         plus = np.array([[1.0, 0.0], [0.5, 2.0]])
         minus = np.array([[1.0, -0.0], [0.5, 2.0]])
-        eig_general(EVICT)
+        hermitize(EVICT)
         calls = _count_eig(monkeypatch)
-        eig_general(plus)
-        eig_general(minus)
-        eig_general(plus)
+        hermitize(plus)
+        hermitize(minus)
+        hermitize(plus)
         assert len(calls) == 3
 
-    def test_fortran_input_matches_c_copy(self, rng):
+    def test_fortran_input_matches_c_copy(self, rng, monkeypatch):
         h, _energies, _s = random_real_spectrum(rng, 12)
-        eig_general(EVICT)
-        c_bits = _bits(eig_general(np.ascontiguousarray(h)))
-        eig_general(EVICT)
-        assert _bits(eig_general(np.asfortranarray(h))) == c_bits
-        assert _bits(eig_general(np.ascontiguousarray(h))) == c_bits
+        c, f = np.ascontiguousarray(h), np.asfortranarray(h)
+        hermitize(EVICT)
+        c_bits = _bits(_eigensystem(hermitize(c)[0]))
+        hermitize(EVICT)
+        assert _bits(_eigensystem(hermitize(f)[0])) == c_bits
+        # both layouts have one key, so the F-ordered miss serves the C-ordered call
+        calls = _count_eig(monkeypatch)
+        assert _bits(_eigensystem(hermitize(c)[0])) == c_bits
+        assert calls == []
 
     def test_threads_never_see_another_matrix_result(self, rng):
         # more threads than cores, switching often, on two alternating keys
         hs = [random_real_spectrum(rng, 4)[0] for _ in range(2)]
         expected = []
         for h in hs:
-            eig_general(EVICT)
-            expected.append(_bits(eig_general(h)))
+            hermitize(EVICT)
+            expected.append(_bits(_eigensystem(hermitize(h)[0])))
         mismatches, written, finished = [], [], []
 
         def worker(index):
             for _ in range(200):
                 which = index % 2
-                result = eig_general(hs[which])
-                if _bits(result) != expected[which]:
+                system = _eigensystem(hermitize(hs[which])[0])
+                if _bits(system) != expected[which]:
                     mismatches.append(which)
                 # a write that went through would reach a thread handed the same arrays
-                for x in result:
+                for x in system:
                     try:
                         x[...] = 0
                     except ValueError:
@@ -443,7 +496,7 @@ class TestEigMemo:
             outcomes = []
             for evict in (False, True):
                 if evict:
-                    eig_general(EVICT)
+                    hermitize(EVICT)
                 try:
                     outcomes.append(_hermitize_bits(*args))
                 except QuasihermError as exc:
