@@ -162,12 +162,15 @@ class EPScanReport:
     """Per-grid-point spectral gap and eigenbasis conditioning for the dimer.
 
     min_gap is |lambda_0 - lambda_1| of the eigenvalues LAPACK's zgeev returns,
-    and eigvec_cond the 2-norm condition number of the matrix of unit
-    eigenvectors built in closed form from them; it agrees with np.linalg.cond
-    of zgeev's own eigenvectors to 8 eps cond^2.  is_ep flags points where the
-    gap has collapsed below 1e-6 times the matrix norm while the eigenvector
-    condition number exceeds the defectiveness threshold; ep_locations holds
-    one gamma per contiguous flagged run, the one with the smallest gap.
+    with the bits of earlier versions.  eigvec_cond is the 2-norm condition
+    number of the matrix of unit eigenvectors, from its closed form
+    sqrt((kappa + |gamma|) / |kappa - |gamma||), exact to a few ulps and inf at
+    |gamma| = kappa.  is_ep flags points where the gap has collapsed below 1e-6
+    times the matrix norm while eigvec_cond exceeds the defectiveness
+    threshold; ep_locations holds one gamma per contiguous flagged run, the one
+    with the smallest gap.  is_ep and ep_locations can differ from earlier
+    versions, which took eigvec_cond from zgeev's eigenvalues, only within two
+    floats of gamma = +-kappa.
     """
 
     parameter_grid: np.ndarray
@@ -177,50 +180,12 @@ class EPScanReport:
     ep_locations: np.ndarray
 
 
-def _cond_2x2(v: np.ndarray) -> np.ndarray:
-    """Exact 2-norm condition numbers of a stack of 2x2 matrices, inf where singular.
-
-    With rows (a, b) and (c, d), p = |a|^2 + |b|^2, q = |c|^2 + |d|^2 and
-    r = a c* + b d*, the squared singular values have difference
-    hypot(p - q, 2|r|) and product |ad - bc|^2, so
-    cond = (p + q + hypot(p - q, 2|r|)) / (2 |ad - bc|).  No square root of a
-    difference is taken, so nothing cancels on well-conditioned (unitary) inputs.
-    """
-    a, b, c, d = v[:, 0, 0], v[:, 0, 1], v[:, 1, 0], v[:, 1, 1]
-    p, q = (v.real**2 + v.imag**2).sum(axis=2).T
-    r = a * c.conj() + b * d.conj()
-    det = a * d - b * c
-    with np.errstate(divide="ignore"):
-        return (p + q + np.hypot(p - q, 2.0 * np.abs(r))) / (2.0 * np.abs(det))
-
-
-def _dimer_eigvecs(k, g, lr, li) -> np.ndarray:
-    """Unit eigenvectors of kappa sigma_x + i gamma sigma_z, as the columns of a stack.
-
-    For an eigenvalue lambda = lr + i li both (kappa, lambda - i gamma) and
-    (lambda + i gamma, kappa) are eigenvectors, since (lambda - i gamma)(lambda + i gamma)
-    = kappa^2.  They differ only in the imaginary part of the varying entry, li -+ gamma;
-    the larger one has no cancellation and its modulus is at least max(kappa, |gamma|),
-    so the norm neither vanishes nor overflows once the inputs are scaled below 1.
-    """
-    minus, plus = li - g, li + g
-    first = np.abs(minus) >= np.abs(plus)
-    im = np.where(first, minus, plus)
-    norm = np.sqrt(k**2 + lr**2 + im**2)
-    v = np.empty(lr.shape[:1] + (2, 2), dtype=np.complex128)
-    v.real[:, 0] = np.where(first, k, lr) / norm
-    v.imag[:, 0] = np.where(first, 0.0, im) / norm
-    v.real[:, 1] = np.where(first, lr, k) / norm
-    v.imag[:, 1] = np.where(first, im, 0.0) / norm
-    return v
-
-
 def ep_scan(kappa: float, gamma_grid, tol: Tolerances = DEFAULT_TOL) -> EPScanReport:
     """Scan gamma values for exceptional points of H = kappa sigma_x + i gamma sigma_z.
 
-    The eigenvalues of every grid point come from one batched np.linalg.eigvals,
-    which for 2x2 input returns the bits np.linalg.eig would, and the eigenvectors
-    from their closed form in kappa, gamma and each eigenvalue.
+    The gaps come from one batched np.linalg.eigvals, which for 2x2 input returns
+    the bits np.linalg.eig would; the eigenvector condition numbers come from
+    kappa and gamma alone.
     """
     if not 0 < kappa < math.inf:
         raise ValueError("kappa must be positive and finite")
@@ -232,7 +197,8 @@ def ep_scan(kappa: float, gamma_grid, tol: Tolerances = DEFAULT_TOL) -> EPScanRe
     if np.any(np.diff(grid) < 0):
         raise ValueError("gamma_grid must be sorted ascending")
     # the gap is at most 2 max(kappa, |gamma|), which must stay a float
-    top = np.maximum(kappa, np.abs(grid))
+    mag = np.abs(grid)
+    top = np.maximum(kappa, mag)
     if not top.max() <= sys.float_info.max / 2:
         raise ValueError("kappa and |gamma| must not exceed half the largest float")
 
@@ -242,16 +208,18 @@ def ep_scan(kappa: float, gamma_grid, tol: Tolerances = DEFAULT_TOL) -> EPScanRe
     # hypot matches the scalar abs() of each gap bit for bit; np.abs can differ by 1 ulp.
     gaps = np.hypot(d.real, d.imag)
 
-    # kappa, gamma and the eigenvalues are scaled by the power of two of
-    # max(kappa, |gamma|) so that no square over- or underflows; the scaling is exact.
-    e = np.frexp(top)[1]
-    k, g = np.ldexp(kappa, -e), np.ldexp(grid, -e)
-    lam = np.ldexp(w.real, -e[:, None]), np.ldexp(w.imag, -e[:, None])
-    conds = _cond_2x2(_dimer_eigvecs(k[:, None], g[:, None], *lam))
+    # Two unit eigenvectors of H overlap by min(kappa, |gamma|) / max(kappa, |gamma|), so the
+    # singular values of their matrix are sqrt(1 +- overlap).  No square is taken, so nothing
+    # over- or underflows.
+    with np.errstate(divide="ignore"):
+        conds = np.sqrt((kappa + mag) / np.abs(kappa - mag))
 
     # The gap is measured against 1e-6 times the matrix norm sqrt(2 kappa^2 + 2 gamma^2),
-    # scaled as above, so the flags are those of the unscaled comparison wherever its
+    # with kappa, gamma and the gap scaled by the power of two of max(kappa, |gamma|),
+    # which is exact, so the flags are those of the unscaled comparison wherever its
     # squares are normal numbers.
+    e = np.frexp(top)[1]
+    k, g = np.ldexp(kappa, -e), np.ldexp(grid, -e)
     norm = np.sqrt(2.0 * k**2 + 2.0 * g**2)
     flags = (np.ldexp(gaps, -e) < 1e-6 * norm) & (conds > tol.defective_cond)
 

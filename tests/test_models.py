@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,21 +27,47 @@ from quasiherm import (
     fermionic_build,
     fermionic_from_fock,
 )
-from quasiherm.models import _cond_2x2
 
 LOG2 = math.log(2.0)
 
 
+def exact_cond_squared(kappa, gamma):
+    """(kappa + |gamma|) / |kappa - |gamma||, the squared 2-norm condition number of
+    the dimer's unit eigenvectors, in exact arithmetic; None at |gamma| = kappa."""
+    k, g = Fraction(kappa), abs(Fraction(gamma))
+    return None if k == g else (k + g) / abs(k - g)
+
+
+def assert_cond_exact(kappa, grid, cond):
+    """Every cond within 4 eps of the exact condition number, inf exactly at |gamma| = kappa."""
+    rel = 4 * Fraction(np.finfo(float).eps)
+    for gamma, c in zip(grid, cond):
+        sq = exact_cond_squared(kappa, gamma)
+        if sq is None:
+            assert c == math.inf
+        else:
+            assert math.isfinite(c)
+            c = Fraction(float(c))
+            assert (c / (1 + rel)) ** 2 <= sq <= (c / (1 - rel)) ** 2
+
+
+def floats_apart(a, b):
+    """Number of float64 steps between two positive floats."""
+    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
+
+
 def ep_scan_reference(kappa, grid, tol=Tolerances()):
-    """Per-point loop: one eig and one cond per gamma, runs found by walking the flags."""
+    """Per-point loop: one eig per gamma for the gap, the exact condition number,
+    runs found by walking the flags."""
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
     sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
     gaps = np.empty(grid.size)
     conds = np.empty(grid.size)
     for i, g in enumerate(grid):
-        w, v = np.linalg.eig(kappa * sx + 1j * g * sz)
+        w = np.linalg.eig(kappa * sx + 1j * g * sz)[0]
         gaps[i] = abs(w[0] - w[1])
-        conds[i] = np.linalg.cond(v)
+        sq = exact_cond_squared(kappa, g)
+        conds[i] = math.inf if sq is None else math.sqrt(sq)
     flags = (gaps < 1e-6 * np.sqrt(2.0 * kappa**2 + 2.0 * grid**2)) & (conds > tol.defective_cond)
     locations = []
     i = 0
@@ -54,20 +81,6 @@ def ep_scan_reference(kappa, grid, tol=Tolerances()):
         else:
             i += 1
     return gaps, conds, flags, np.asarray(locations, dtype=float)
-
-
-def assert_cond_matches(cond, ref):
-    """cond agrees with ref to 8 eps ref^2, the first-order error of sigma_min.
-
-    Where ref >= 1 / (8 eps) that bound already exceeds ref itself, so every
-    non-negative cond agrees with it there, finite or inf (an exactly singular
-    matrix) alike.
-    """
-    eps = np.finfo(float).eps
-    singular_end = ref >= 1.0 / (8.0 * eps)
-    assert np.all(cond[singular_end] >= 0)
-    near = ~singular_end
-    assert np.all(np.abs(cond[near] - ref[near]) <= 8.0 * eps * ref[near] ** 2)
 
 
 class TestDimerParams:
@@ -198,6 +211,7 @@ class TestEpScan:
     def test_locates_the_exceptional_point(self):
         grid = 0.0 + np.arange(201) * 0.01
         report = ep_scan(1.0, grid)
+        assert_cond_exact(1.0, grid, report.eigvec_cond)
         assert report.ep_locations.size == 1
         assert 0.99 <= report.ep_locations[0] <= 1.01
         assert report.is_ep[100]
@@ -206,6 +220,7 @@ class TestEpScan:
     def test_safe_region_is_clean(self):
         grid = np.linspace(0.05, 0.45, 41)
         report = ep_scan(1.0, grid)
+        assert_cond_exact(1.0, grid, report.eigvec_cond)
         assert report.ep_locations.size == 0
         assert not report.is_ep.any()
 
@@ -224,6 +239,7 @@ class TestEpScan:
         step = 0.01
         grid = np.arange(0.0, 2.0 * kappa + step / 2.0, step)
         report = ep_scan(kappa, grid)
+        assert_cond_exact(kappa, grid, report.eigvec_cond)
         assert report.ep_locations.size == 1
         assert abs(report.ep_locations[0] - kappa) <= step + 1e-12
 
@@ -245,24 +261,9 @@ class TestEpScan:
         assert flags.tolist()[below:below + 5] == [True, True, False, True, True]
         report = ep_scan(kappa, grid, tol)
         assert np.array_equal(report.min_gap, gaps)
-        assert_cond_matches(report.eigvec_cond, conds)
+        assert_cond_exact(kappa, grid, report.eigvec_cond)
         assert np.array_equal(report.is_ep, flags)
         assert np.array_equal(report.ep_locations, locations)
-
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_closed_form_condition_matches_svd(self, seed):
-        rng = np.random.default_rng(seed)
-        shape = (32, 2, 2)
-        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        u = np.linalg.qr(g)[0]
-        w = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
-        # singular values 1 and s, so cond = 1/s, up to 1e14
-        s = np.stack([np.ones(32), 10.0 ** rng.uniform(-14.0, 0.0, 32)], axis=1)
-        nearly_singular = (u * s[:, None, :]) @ w.conj().transpose(0, 2, 1)
-        # determinant exactly 0: inf, without a division warning
-        singular = np.array([[[1.0, 2.0], [2.0, 4.0]]])
-        v = np.concatenate([g, u, nearly_singular, singular])
-        assert_cond_matches(_cond_2x2(v), np.linalg.cond(v))
 
     @given(
         log_kappa=st.floats(-3.0, 3.0),
@@ -281,6 +282,11 @@ class TestEpScan:
         tol = Tolerances(defective_cond=threshold)
         cond = ep_scan(kappa, [gamma], tol).eigvec_cond[0]
         assume(abs(cond - threshold) > 1e-6 * threshold)
+        assert_cond_exact(kappa, [gamma], [cond])
+        # Within two floats of +-kappa, eig_general's verdict follows zgeev's rounding of
+        # the eigenvectors, not the condition of the stored matrix.
+        if floats_apart(abs(gamma), kappa) <= 2:
+            return
         try:
             eig_general(dimer_hamiltonian(kappa, gamma), tol)
             defective = False
@@ -305,22 +311,17 @@ class TestEpScan:
         report = ep_scan(kappa, grid, tol)
         gaps, conds, flags, _ = ep_scan_reference(kappa, grid, tol)
         assert np.array_equal(report.min_gap, gaps)
-        # At gamma = +-kappa exactly, H is nilpotent in floating point, and both condition
-        # numbers measure only rounding (from about 1e11 to inf), beyond the first-order
-        # bound; the flags below still cover those points.
-        off_ep = np.abs(grid) != kappa
-        assert_cond_matches(report.eigvec_cond[off_ep], conds[off_ep])
+        assert_cond_exact(kappa, grid, report.eigvec_cond)
         decided = np.abs(conds - threshold) > 1e-6 * threshold
         assert np.array_equal(report.is_ep[decided], flags[decided])
 
     @pytest.mark.parametrize("kappa", [1e-150, 1.0, 1e150])
     def test_condition_far_from_the_ep(self, kappa):
-        # |gamma| >> kappa: of the two closed-form eigenvectors, one has lambda -+ i gamma
-        # cancel to about kappa^2 / (2 |gamma|), which must not be the one taken
+        # |gamma| >> kappa, where kappa drops out of kappa + |gamma| and the condition
+        # number tends to 1
         powers = 10.0 ** np.arange(0.5, 150.5, 0.5)
         grid = kappa * np.r_[-powers[::-1], powers]
-        v = np.linalg.eig(kappa * SIGMA_X + 1j * grid[:, None, None] * SIGMA_Z)[1]
-        assert_cond_matches(ep_scan(kappa, grid).eigvec_cond, np.linalg.cond(v))
+        assert_cond_exact(kappa, grid, ep_scan(kappa, grid).eigvec_cond)
 
     @pytest.mark.parametrize("kappa", [5e-324, 1e-300, 1e-150, 0.3, 1.0, 1.6, 1e150, 1e300,
                                        sys.float_info.max / 2])
@@ -340,6 +341,19 @@ class TestEpScan:
         hmats = kappa * SIGMA_X + 1j * grid[:, None, None] * SIGMA_Z
         assert np.linalg.eigvals(hmats).tobytes() == np.linalg.eig(hmats)[0].tobytes()
 
+    @pytest.mark.parametrize("kappa", [5e-324, 1e-300, 1e-150, 0.3, 1.0, 1.6, 1e150, 1e300,
+                                       sys.float_info.max / 2])
+    def test_condition_is_exact_near_the_ep(self, kappa):
+        # gamma from 8 floats below to 8 floats above +-kappa, and at +-kappa (1 +- delta)
+        steps = [kappa]
+        for _ in range(8):
+            steps = [np.nextafter(steps[0], 0.0), *steps, np.nextafter(steps[-1], math.inf)]
+        delta = 10.0 ** np.arange(-16.0, 0.0)
+        grid = np.r_[steps, kappa * (1.0 - delta), kappa * (1.0 + delta)]
+        grid = grid[grid <= sys.float_info.max / 2]
+        grid = np.sort(np.r_[-grid, grid])
+        assert_cond_exact(kappa, grid, ep_scan(kappa, grid).eigvec_cond)
+
     def test_needs_no_eigenvectors_from_lapack(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("ep_scan called np.linalg.eig")
@@ -353,6 +367,7 @@ class TestEpScan:
     def test_flags_the_ep_over_the_whole_range(self, kappa):
         # no square of kappa or gamma is taken unscaled, so nothing over- or underflows
         report = ep_scan(kappa, [-kappa, 0.0, 0.5 * kappa, kappa])
+        assert_cond_exact(kappa, report.parameter_grid, report.eigvec_cond)
         assert report.is_ep.tolist() == [True, False, False, True]
         assert report.ep_locations.tolist() == [-kappa, kappa]
 
@@ -363,6 +378,7 @@ class TestEpScan:
         rng = np.random.default_rng(seed)
         grid = np.sort(np.r_[kappa * rng.uniform(-1.5, 1.5, 20), -kappa, kappa])
         report = ep_scan(kappa, grid)
+        assert_cond_exact(kappa, grid, report.eigvec_cond)
         scale = np.sqrt(2.0 * kappa**2 + 2.0 * grid**2)
         expected = (report.min_gap < 1e-6 * scale) & (report.eigvec_cond > 1e8)
         assert report.is_ep.tolist() == expected.tolist()
