@@ -27,7 +27,6 @@ from .errors import (
     InvalidCoupling,
     ModelDomainError,
     NotHermitian,
-    NotHermitianGenerator,
     NotPositiveDefinite,
     NotQuasiHermitian,
     NotUnitary,

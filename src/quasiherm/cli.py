@@ -219,8 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compat = add_parser("compat", help="decide whether two Hamiltonians share a metric")
     p_compat.add_argument("h1", help="MatrixFile holding the first Hamiltonian")
     p_compat.add_argument("h2", help="MatrixFile holding the second Hamiltonian")
-    # accepted so that older scripts keep running; it never had an effect
-    p_compat.add_argument("--seed", action=_Once, type=int, default=0, help=argparse.SUPPRESS)
     _add_tol_flags(p_compat)
     p_compat.set_defaults(func=cmd_compat)
 

@@ -50,10 +50,6 @@ class NotQuasiHermitian(QuasihermError):
     """Hamiltonian and metric fail the intertwining relation required for unitary evolution."""
 
 
-class NotHermitianGenerator(QuasihermError):
-    """Observable generator matrix is not Hermitian."""
-
-
 class ModelDomainError(QuasihermError):
     """Base class for model-parameter violations."""
 

@@ -181,15 +181,19 @@ def polar_decompose(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.nd
     From one SVD M = U S V†: W = U V† and P = V S V†, the square root of M†M.
     Raises SingularInput when M†M is numerically singular, i.e. its smallest
     eigenvalue s_min² is at or below ``tol.positivity_rel`` times its norm.
+    The singular values are first scaled by the power of two of s_max, which is
+    exact, so no multiple of M by a power of two changes the decision.
     """
     a = as_square_matrix(m)
     u, s, vh = np.linalg.svd(a)
-    gram_spec = s * s
+    gram_spec = np.square(np.ldexp(s, -np.frexp(s[0])[1]))
     gram_norm = np.linalg.norm(gram_spec)
     if not gram_spec[-1] > tol.positivity_rel * gram_norm:
+        # in Python floats, where inf / inf is NaN with no numpy warning
+        ratio = float(gram_spec[-1]) / (float(gram_norm) or 1.0)
         raise SingularInput(
-            f"polar factor undefined: s_min^2 {gram_spec[-1]:.3e} at or below "
-            f"{tol.positivity_rel:g} * {gram_norm:.3e}"
+            f"polar factor undefined: s_min^2 is {ratio:.3e} times the norm of M†M, "
+            f"at or below {tol.positivity_rel:g}"
         )
     return u @ vh, herm_part((vh.conj().T * s) @ vh)
 

@@ -161,16 +161,14 @@ def bch_conjugation_check(alpha: float) -> tuple[float, float]:
 class EPScanReport:
     """Per-grid-point spectral gap and eigenbasis conditioning for the dimer.
 
-    min_gap is |lambda_0 - lambda_1| of the eigenvalues LAPACK's zgeev returns,
-    with the bits of earlier versions.  eigvec_cond is the 2-norm condition
-    number of the matrix of unit eigenvectors, from its closed form
-    sqrt((kappa + |gamma|) / |kappa - |gamma||), exact to a few ulps and inf at
-    |gamma| = kappa.  is_ep flags points where the gap has collapsed below 1e-6
-    times the matrix norm while eigvec_cond exceeds the defectiveness
+    min_gap is |lambda_0 - lambda_1| of the eigenvalues LAPACK's zgeev returns.
+    eigvec_cond is the 2-norm condition number of the matrix of unit
+    eigenvectors, from its closed form sqrt((kappa + |gamma|) / |kappa - |gamma||),
+    exact to a few ulps and inf at |gamma| = kappa, so it follows the couplings
+    and not zgeev's rounding.  is_ep flags points where the gap has collapsed
+    below 1e-6 times the matrix norm while eigvec_cond exceeds the defectiveness
     threshold; ep_locations holds one gamma per contiguous flagged run, the one
-    with the smallest gap.  is_ep and ep_locations can differ from earlier
-    versions, which took eigvec_cond from zgeev's eigenvalues, only within two
-    floats of gamma = +-kappa.
+    with the smallest gap.
     """
 
     parameter_grid: np.ndarray

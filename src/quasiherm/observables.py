@@ -22,8 +22,8 @@ from .dyson import (
     quasi_hermiticity_residual,
     solve_schrodinger_pair,
 )
-from .errors import ComplexSpectrum, DefectiveMatrix, NotHermitianGenerator, NotPositiveDefinite
-from .linalg import DEFAULT_TOL, Tolerances, as_square_matrix, fro, herm_part, hermiticity_residual
+from .errors import ComplexSpectrum, DefectiveMatrix, NotPositiveDefinite
+from .linalg import DEFAULT_TOL, Tolerances, _require_hermitian, as_square_matrix, fro
 
 __all__ = [
     "ObservableCandidate",
@@ -68,10 +68,7 @@ class SharedMetricResult:
 
 def observable_from_M(metric: Metric, m, tol: Tolerances = DEFAULT_TOL) -> ObservableCandidate:
     """Build the observable Theta^{-1} M from a Hermitian generator M."""
-    mm = as_square_matrix(m)
-    if not hermiticity_residual(mm) <= tol.residual_rel:
-        raise NotHermitianGenerator("generator M must be Hermitian")
-    mm = herm_part(mm)
+    mm = _require_hermitian(as_square_matrix(m), tol.residual_rel, "generator M")
     a = np.linalg.solve(metric.theta, mm)
     return ObservableCandidate(
         a_matrix=a, m_matrix=mm, residual=quasi_hermiticity_residual(a, metric)

@@ -698,14 +698,12 @@ class TestCompatCommand:
         assert main(["compat", p1, p2]) == 2
         capsys.readouterr()
 
-    def test_seed_accepted_but_not_listed(self, tmp_path, capsys):
+    def test_seed_refused(self, tmp_path, capsys):
         p1 = write_h(tmp_path, "h1.json", DIMER_H)
-        assert main(["compat", p1, p1]) == 0
-        plain = capsys.readouterr().out
-        assert main(["compat", p1, p1, "--seed", "3"]) == 0
-        assert capsys.readouterr().out == plain
-        assert main(["compat", "--help"]) == 0
-        assert "--seed" not in capsys.readouterr().out
+        assert main(["compat", p1, p1, "--seed", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == "quasiherm: error: unrecognized arguments: --seed 3"
 
 
 # Every command line whose output argparse formats: each --help, and a usage
@@ -750,8 +748,8 @@ class TestDeterminism:
 
     def test_compat_byte_identical(self, tmp_path):
         path = write_h(tmp_path, "h.json", DIMER_H)
-        a = run_cli("compat", path, path, "--seed", "0")
-        b = run_cli("compat", path, path, "--seed", "0")
+        a = run_cli("compat", path, path)
+        b = run_cli("compat", path, path)
         assert a.returncode == 0 and b.returncode == 0
         assert a.stdout == b.stdout
 

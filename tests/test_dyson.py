@@ -33,7 +33,7 @@ from quasiherm import (
     solve_schrodinger_pair,
 )
 from quasiherm import dyson, linalg, models, observables
-from quasiherm.errors import NotHermitian, NotHermitianGenerator, SingularInput
+from quasiherm.errors import NotHermitian, SingularInput
 from quasiherm.linalg import DEFAULT_TOL, eig_general, fro, herm_exp, hermiticity_residual, polar_decompose
 from quasiherm.models import (
     DimerParams,
@@ -378,6 +378,14 @@ class TestHermitianDyson:
         assert report.passed
         assert dmap.family == "KU"
 
+    @pytest.mark.parametrize("c", [1e77, 1e100])
+    def test_large_k_accepted_as_the_plain_k_call(self, c):
+        # K and cK are accepted alike, also where the unscaled polar gate would overflow
+        _s, _d, _m, _a, plain = hermitize(DIMER_H, k_diag=[c, c])
+        _s, dmap, _m, _a, report = hermitize(DIMER_H, k_diag=[c, c], hermitian_map=True)
+        assert plain.passed and report.passed
+        assert dmap.family == "KU"
+
     def test_against_svd_polar_oracle(self):
         dmap = build_omega_I(solve_schrodinger_pair(DIMER_H))
         _u, omega_herm = hermitian_dyson(dmap)
@@ -625,9 +633,8 @@ _NAN_GATES = {
         (math, "tanh"), _nan, lambda m: DimerParams(**_DIMER_PARAMS), ValueError,
     ),
     "observable_from_M hermiticity": (
-        (observables, "hermiticity_residual"), _nan,
-        lambda m: observable_from_M(metric_from_theta(DIMER_THETA), np.eye(2)),
-        NotHermitianGenerator,
+        (linalg, "hermiticity_residual"), _nan,
+        lambda m: observable_from_M(metric_from_theta(DIMER_THETA), np.eye(2)), NotHermitian,
     ),
     "_certify intertwining": (
         (observables, "quasi_hermiticity_residual"), _nan,

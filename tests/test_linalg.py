@@ -18,6 +18,7 @@ from helpers import (
     random_unitary,
 )
 from quasiherm import (
+    DEFAULT_TOL,
     ComplexSpectrum,
     DefectiveMatrix,
     NotHermitian,
@@ -548,10 +549,55 @@ class TestPolarDecompose:
     def test_singular_raises(self):
         with pytest.raises(SingularInput):
             polar_decompose(np.diag([1.0, 0.0]))
+        # with no warning: the suite turns every warning into an error
+        with pytest.raises(SingularInput, match=r"s_min\^2 is 0\.000e\+00 times"):
+            polar_decompose(np.zeros((2, 2)))
 
     def test_singular_message_names_value_and_gate(self):
-        with pytest.raises(SingularInput, match=r"s_min\^2 1\.000e-16 at or below 1e-12 \* 1\.000e\+00"):
+        with pytest.raises(
+            SingularInput,
+            match=r"^polar factor undefined: s_min\^2 is 1\.000e-16 times the norm of M†M, "
+            r"at or below 1e-12$",
+        ):
             polar_decompose(np.diag([1.0, 1e-8]))
+
+    @pytest.mark.parametrize("c", [1e77, 1e100, 1e200, 1e300])
+    def test_large_scale_accepted(self, c):
+        # unscaled, the norm of the squared singular values overflows from c = 1e77
+        w, p = polar_decompose(c * np.eye(2))
+        assert np.array_equal(w, np.eye(2))
+        assert np.array_equal(p, c * np.eye(2))
+
+    def test_small_scale_refused(self):
+        # (s_min / s_max)^2 = 1e-40; unscaled, both squares underflowed to 0 > 0 * 0
+        with pytest.raises(SingularInput, match=r"s_min\^2 is 1\.000e-40 times"):
+            polar_decompose(np.diag([1e-90, 1e-110]))
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), decades=st.floats(-8.0, -4.0),
+           k=st.integers(-2000, 2000))
+    def test_power_of_two_scaling_keeps_the_decision(self, seed, n, decades, k):
+        # s_min / s_max spans 1e-8 to 1e-4, so (s_min / s_max)^2 straddles positivity_rel
+        rng = np.random.default_rng(seed)
+        s = np.r_[1.0, rng.uniform(10.0**decades, 1.0, n - 2), 10.0**decades]
+        m = (random_unitary(rng, n) * s) @ random_unitary(rng, n)
+        parts = np.abs(np.r_[m.real.ravel(), m.imag.ravel()])
+        top = math.frexp(parts.max())[1]
+        low = math.frexp(parts[parts > 0].min())[1]
+        # every entry of 2^k m stays normal, with room for P = V S V† (‖P‖ ≤ 8 max|m|)
+        k = min(max(k, -1021 - low), 1019 - top)
+        scaled = np.ldexp(m.real, k) + 1j * np.ldexp(m.imag, k)
+
+        def refused(a):
+            try:
+                polar_decompose(a)
+            except SingularInput:
+                return True
+            return False
+
+        # at scale 1 every square is a normal number: the unscaled formula decides alike
+        gram = np.square(np.linalg.svd(m)[1])
+        assert refused(m) == (not gram[-1] > DEFAULT_TOL.positivity_rel * np.linalg.norm(gram))
+        assert refused(scaled) == refused(m)
 
     def test_random_against_svd_oracle(self, rng):
         for _ in range(5):

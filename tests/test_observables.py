@@ -17,7 +17,7 @@ from helpers import (
 )
 from quasiherm import (
     DysonMap,
-    NotHermitianGenerator,
+    NotHermitian,
     avatar_of_observable,
     build_omega_I,
     build_omega_K,
@@ -58,8 +58,20 @@ class TestObservableFromM:
         assert np.allclose(np.sort(eigs.real), oracle, atol=1e-10)
 
     def test_non_hermitian_generator_rejected(self):
-        with pytest.raises(NotHermitianGenerator):
+        with pytest.raises(
+            NotHermitian, match=r"^generator M deviates from Hermiticity beyond 1e-10 relative$"
+        ):
             observable_from_M(dimer_metric(), np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_hermitian_generator_takes_its_hermitian_part(self, rng):
+        metric = dimer_metric()
+        m = random_hermitian(rng, 2)
+        m[0, 1] *= 1.0 + 1e-13  # Hermitian within the tolerance, not exactly
+        cand = observable_from_M(metric, m)
+        sym = 0.5 * (m + m.conj().T)
+        assert np.array_equal(cand.m_matrix, sym)
+        assert np.array_equal(cand.a_matrix, np.linalg.solve(metric.theta, sym))
+        assert cand.residual == quasi_hermiticity_residual(cand.a_matrix, metric)
 
     def test_random_generators(self, rng):
         metric = dimer_metric()

@@ -140,9 +140,10 @@ COMMANDS = [
       for name, n in (("H.json", 2), ("fermion.json", 4), ("n8.json", 8), ("n256.json", 256))
       for flags in ([], ["--k-diag", _k_diag(n)], ["--hermitian-omega"])
       if name != "H.json" or flags],
+    # the polar gate at a scale whose squared singular values would overflow
+    (["hermitize", "H.json", "--k-diag", "1e100,1e100", "--hermitian-omega"], 0),
     # a second scan grid, with gamma = -kappa and kappa on it
     (["scan", "--kappa", "2", "--gamma-min", "-3", "--gamma-max", "3", "--step", "0.125"], 0),
-    (["compat", "n8.json", "n8.json", "--seed", "3"], 0),
     # a metric found for two different Hamiltonians: two different residuals
     (["compat", "H.json", "H_squared.json"], 0),
     (["compat", "n8.json", "n8_cubic.json"], 0),
@@ -172,6 +173,7 @@ COMMANDS = [
     *[(["hermitize", "H.json", flag, value], 2) for flag, value in (
         ("--tol-residual", "inf"), ("--tol-reality", "nan"), ("--tol-positivity", "-inf"))],
     (["hermitize", "H.json", "--frobnicate"], 2),
+    (["compat", "n8.json", "n8.json", "--seed", "3"], 2),
     (["hermitize", "H.json", "--hermitian-omega", "--hermitian-omega"], 2),
     (["model", "dimer", "--omega", "1", "--alpha", "0.5", "--omega=2"], 2),
     (["model", "dimer", "--omega", "1", "--alpha", "0.1", "--kappa", "1", "--gamma", "0.5"], 2),
