@@ -225,12 +225,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _pin_blas_threads() -> None:
+    """Run each loaded OpenBLAS on one thread unless the environment sets a count,
+    since LAPACK work such as zgeev splits, and so rounds, differently with each count."""
+    if {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"} & os.environ.keys():
+        return
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh}
+    except OSError:  # no /proc: the count stays OpenBLAS's own
+        return
+    for lib in (path for path in paths if "openblas" in os.path.basename(path)):
+        handle = ctypes.CDLL(lib)
+        for sym in ("openblas_set_num_threads64_", "scipy_openblas_set_num_threads64_",
+                    "openblas_set_num_threads", "scipy_openblas_set_num_threads"):
+            if hasattr(handle, sym):
+                getattr(handle, sym)(ctypes.c_int(1))
+                break
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    _pin_blas_threads()
     try:
         return args.func(args)
     except np.linalg.LinAlgError as exc:

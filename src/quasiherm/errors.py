@@ -1,5 +1,22 @@
 """Typed failures raised by the numerical routines in this package."""
 
+__all__ = [
+    "QuasihermError",
+    "DefectiveMatrix",
+    "ComplexSpectrum",
+    "NotHermitian",
+    "NotPositiveDefinite",
+    "SingularInput",
+    "SingularScaling",
+    "NotUnitary",
+    "AvatarNotHermitian",
+    "NotQuasiHermitian",
+    "ModelDomainError",
+    "EPRegion",
+    "InvalidCoupling",
+    "SingularDysonMap",
+]
+
 
 class QuasihermError(Exception):
     """Base class for every controlled numerical failure.

@@ -77,7 +77,7 @@ def fro(m: np.ndarray) -> float:
 
 
 def herm_part(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * m + 0.5 * m.conj().T
 
 
 def hermiticity_residual(a: np.ndarray) -> float:

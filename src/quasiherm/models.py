@@ -74,8 +74,9 @@ class DimerParams:
         if abs(self.gamma) >= self.kappa:
             raise EPRegion("|gamma| >= kappa puts the dimer at or past the exceptional point")
         rel = DEFAULT_TOL.residual_rel
-        scale = max(self.omega**2, self.kappa**2)
-        if not abs(self.kappa**2 - self.gamma**2 - self.omega**2) <= rel * scale:
+        # kappa = hypot(omega, gamma) to rel / 2 is the constraint to rel, squaring nothing
+        scale = max(self.omega, self.kappa)
+        if not abs(self.kappa - math.hypot(self.omega, self.gamma)) <= 0.5 * rel * scale:
             raise ValueError("kappa^2 - gamma^2 = omega^2 violated")
         if not abs(math.tanh(self.alpha) - self.gamma / self.kappa) <= rel:
             raise ValueError("tanh(alpha) = gamma / kappa violated")
@@ -266,9 +267,7 @@ class FermionicParams:
 
     @property
     def det_D(self) -> float:
-        return 2.0 * self.alpha * self.beta - (self.alpha + self.beta) * math.sqrt(
-            self.alpha * self.beta
-        ) + 1.0
+        return 2.0 * self.alpha * self.beta - (self.alpha + self.beta) * self.sqrt_ab + 1.0
 
 
 def fermionic_build(
@@ -329,9 +328,8 @@ def fermionic_from_fock(p: FermionicParams) -> np.ndarray:
     """
     a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
     i2 = np.eye(2, dtype=np.complex128)
-    sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
     c1 = np.kron(a, i2)
-    c2 = np.kron(sz, a)
+    c2 = np.kron(SIGMA_Z, a)
     # Tensor ordering puts mode-2 occupation fastest; permute to the
     # (|00>, |10>, |01>, |11>) order used throughout.
     perm = [0, 2, 1, 3]

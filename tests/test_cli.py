@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import pathlib
 import re
 import shlex
@@ -435,6 +436,12 @@ class TestModelCommand:
         assert lines[0].endswith(" overflow the float range")
         assert all(flag in lines[0] for flag in flags[1::2])
 
+    def test_rapidity_flags_beyond_squaring(self, tmp_path, capsys):
+        # --kappa 1e300 --gamma 0 still exits 2: dimer_from_coupling squares kappa
+        assert main(["model", "dimer", "--omega", "1e300", "--alpha", "0",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["energies"] == [-1e300, 1e300]
+
     @pytest.mark.parametrize("flags,given", [
         (("--kappa", "1e-170", "--gamma", "0"), "--kappa 1e-170 --gamma 0.0"),
         (("--kappa", "1e-200", "--gamma", "5e-201"), "--kappa 1e-200 --gamma 5e-201"),
@@ -752,6 +759,20 @@ class TestDeterminism:
         b = run_cli("compat", path, path)
         assert a.returncode == 0 and b.returncode == 0
         assert a.stdout == b.stdout
+
+    def test_unset_thread_count_prints_the_one_thread_bytes(self, tmp_path):
+        # multithreaded zgeev at n = 256 changes the last digits with the thread
+        # count, so these bytes match only if main pins BLAS to one thread
+        rng = np.random.default_rng(256)
+        s = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+        path = write_h(tmp_path, "h.json", (s * np.linspace(-1.0, 1.0, 256)) @ np.linalg.inv(s))
+        blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        unset = {k: v for k, v in os.environ.items() if k not in blas}
+        runs = [subprocess.run([sys.executable, "-m", "quasiherm", "hermitize", path],
+                               env=env, capture_output=True)
+                for env in (unset, {**unset, "OPENBLAS_NUM_THREADS": "1"})]
+        assert [run.returncode for run in runs] == [0, 0], runs[0].stderr
+        assert runs[0].stdout == runs[1].stdout
 
     def test_controlled_failures_have_clean_stderr(self, tmp_path):
         path = write_h(tmp_path, "h.json", [[0.0, 1.0], [-1.0, 0.0]])

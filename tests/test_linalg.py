@@ -561,9 +561,10 @@ class TestPolarDecompose:
         ):
             polar_decompose(np.diag([1.0, 1e-8]))
 
-    @pytest.mark.parametrize("c", [1e77, 1e100, 1e200, 1e300])
+    @pytest.mark.parametrize("c", [1e77, 1e100, 1e200, 1e300, 1.7e308])
     def test_large_scale_accepted(self, c):
-        # unscaled, the norm of the squared singular values overflows from c = 1e77
+        # unscaled, the norm of the squared singular values overflows from c = 1e77;
+        # at 1.7e308 so would M + M† in the Hermitian part of P
         w, p = polar_decompose(c * np.eye(2))
         assert np.array_equal(w, np.eye(2))
         assert np.array_equal(p, c * np.eye(2))

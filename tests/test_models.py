@@ -152,6 +152,14 @@ class TestDimerParams:
             DimerParams(omega=1.0, alpha=0.0, kappa=2.0, gamma=0.0)
         with pytest.raises(ValueError):
             DimerParams(omega=1.0, alpha=0.5, kappa=1.25, gamma=0.75)
+        # and at a scale whose squares underflow to 0
+        with pytest.raises(ValueError, match=r"^kappa\^2 - gamma\^2 = omega\^2 violated$"):
+            DimerParams(omega=1e-170, alpha=0.0, kappa=5e-170, gamma=0.0)
+
+    def test_from_rapidity_beyond_squaring(self):
+        # the squares of 1e300 overflow; the check squares nothing
+        p = dimer_params(1e300, 0.0)
+        assert (p.omega, p.alpha, p.kappa, p.gamma) == (1e300, 0.0, 1e300, 0.0)
 
 
 class TestDimerBuild:

@@ -142,6 +142,8 @@ COMMANDS = [
       if name != "H.json" or flags],
     # the polar gate at a scale whose squared singular values would overflow
     (["hermitize", "H.json", "--k-diag", "1e100,1e100", "--hermitian-omega"], 0),
+    # omega and kappa whose squares overflow: DimerParams checks kappa = hypot(omega, gamma)
+    (["model", "dimer", "--omega", "1e300", "--alpha", "0", "--out-dir", "out/"], 0),
     # a second scan grid, with gamma = -kappa and kappa on it
     (["scan", "--kappa", "2", "--gamma-min", "-3", "--gamma-max", "3", "--step", "0.125"], 0),
     # a metric found for two different Hamiltonians: two different residuals
