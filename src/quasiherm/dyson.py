@@ -24,6 +24,7 @@ from .errors import (
     SingularScaling,
 )
 from .linalg import (
+    _MAX_BASIS_BOUND,
     DEFAULT_TOL,
     Tolerances,
     as_square_matrix,
@@ -72,8 +73,10 @@ class BiorthogonalSystem:
 class DysonMap:
     """An invertible map Omega together with its inverse and family tag.
 
-    family is "I", "K", or "KU".  k_diag carries the diagonal of K for the K
-    and KU families; u_matrix carries the unitary for the KU family.
+    family is "I", "K", or "KU" for the maps built here, and the model name
+    ("dimer" or "fermion") for the closed-form maps of ``quasiherm model``.
+    k_diag carries the diagonal of K for the K and KU families; u_matrix
+    carries the unitary for the KU family.
     """
 
     omega: np.ndarray
@@ -197,7 +200,16 @@ def metric_from_theta(theta, tol: Tolerances = DEFAULT_TOL) -> Metric:
 
 
 def metric_of(dyson_map: DysonMap, tol: Tolerances = DEFAULT_TOL) -> Metric:
-    """Metric Theta = Omega† Omega of a Dyson map."""
+    """Metric Theta = Omega† Omega of a Dyson map.
+
+    Raises NotPositiveDefinite when ||Omega||_F exceeds the square root of the
+    largest float, past which Theta may not be finite.
+    """
+    norm = fro(dyson_map.omega)
+    if not norm <= _MAX_BASIS_BOUND:
+        raise NotPositiveDefinite(
+            f"||Omega||_F {norm:.3e} exceeds {_MAX_BASIS_BOUND:.3e}, beyond which the metric overflows"
+        )
     return metric_from_theta(dyson_map.omega.conj().T @ dyson_map.omega, tol)
 
 
@@ -215,6 +227,7 @@ def _certified_avatar(
     a: np.ndarray, dyson_map: DysonMap, tol: Tolerances
 ) -> tuple[np.ndarray, float]:
     """hermitian_avatar of a validated H, with the Hermiticity residual it was certified by."""
+    _same_shape(a, "H", dyson_map.omega, "map")
     avatar = dyson_map.omega @ a @ dyson_map.omega_inv
     residual = hermiticity_residual(avatar)
     if not residual <= tol.residual_rel:
@@ -223,6 +236,12 @@ def _certified_avatar(
             "the map does not hermitize this input"
         )
     return avatar, residual
+
+
+def _same_shape(a: np.ndarray, name: str, b: np.ndarray, other: str) -> None:
+    """Refuse, by name, a matrix and a map or metric of different shapes."""
+    if a.shape != b.shape:
+        raise ValueError(f"{name} has shape {a.shape} but the {other} has shape {b.shape}")
 
 
 def _theta_of(metric) -> np.ndarray:
@@ -243,8 +262,7 @@ def quasi_hermiticity_residual(h, metric) -> float:
     """Relative size of H† Theta - Theta H, the metric intertwining defect."""
     a = as_square_matrix(h)
     theta = _theta_of(metric)
-    if a.shape != theta.shape:
-        raise ValueError(f"H has shape {a.shape} but the metric has shape {theta.shape}")
+    _same_shape(a, "H", theta, "metric")
     denom = fro(a) * fro(theta)
     if denom == 0:
         return 0.0

@@ -18,6 +18,7 @@ import numpy as np
 from .dyson import (
     DysonMap,
     Metric,
+    _same_shape,
     metric_from_theta,
     quasi_hermiticity_residual,
     solve_schrodinger_pair,
@@ -69,6 +70,7 @@ class SharedMetricResult:
 def observable_from_M(metric: Metric, m, tol: Tolerances = DEFAULT_TOL) -> ObservableCandidate:
     """Build the observable Theta^{-1} M from a Hermitian generator M."""
     mm = _require_hermitian(as_square_matrix(m), tol.residual_rel, "generator M")
+    _same_shape(mm, "M", metric.theta, "metric")
     a = np.linalg.solve(metric.theta, mm)
     return ObservableCandidate(
         a_matrix=a, m_matrix=mm, residual=quasi_hermiticity_residual(a, metric)
@@ -78,6 +80,7 @@ def observable_from_M(metric: Metric, m, tol: Tolerances = DEFAULT_TOL) -> Obser
 def avatar_of_observable(a, dyson_map: DysonMap) -> np.ndarray:
     """Hermitian counterpart Omega A Omega^{-1} of an observable."""
     am = as_square_matrix(a)
+    _same_shape(am, "A", dyson_map.omega, "map")
     return dyson_map.omega @ am @ dyson_map.omega_inv
 
 

@@ -26,6 +26,9 @@ def test_commands_give_their_exit_codes_and_repeat_their_bytes(bytecheck):
     differing = [(argv, a.differences(b))
                  for (argv, _code), a, b in zip(bytecheck.COMMANDS, first, second) if a != b]
     assert differing == []
+    # the compat sweep is one of the entries: shared_metric answers alike in two processes
+    sweep = first[bytecheck.COMMANDS.index(([bytecheck.SWEEP], 0))]
+    assert sweep.stdout.count(b"\n") == 1500
 
 
 def test_summary_counts_each_field(bytecheck, capsys, monkeypatch):
@@ -36,6 +39,28 @@ def test_summary_counts_each_field(bytecheck, capsys, monkeypatch):
     assert capsys.readouterr().out.splitlines() == [
         "same  scan",
         "differ: stdout, files  model dimer",
+        "  stdout (same lines; the bytes differ in line endings or the final newline)",
         "bytecheck: 1 of 2 commands differ against abc1234 "
         "(exit code 0, stdout 1, stderr 0, files 1)",
+    ]
+
+
+def test_differing_streams_list_their_changed_lines(bytecheck, capsys, monkeypatch):
+    assert bytecheck.SHOWN > 2 * 1500  # a sweep whose every line changed is listed whole
+    monkeypatch.setattr(bytecheck, "COMMANDS", [(["compat", "H1.json", "H2.json"], 0)])
+    monkeypatch.setattr(bytecheck, "SHOWN", 3)
+    base = bytecheck.Outcome(0, b"a\nb\nc\n", b"warning\nerror: x\n", ())
+    ours = bytecheck.Outcome(5, b"a\nB\nc\nd\ne\n", b"error: y\n", ())
+    assert bytecheck.compare([base], [ours], "against abc1234") == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differ: exit code, stdout, stderr  compat H1.json H2.json",
+        "  stdout -b",
+        "  stdout +B",
+        "  stdout +d",
+        "  stdout: 1 more changed lines",
+        "  stderr -warning",
+        "  stderr -error: x",
+        "  stderr +error: y",
+        "bytecheck: 1 of 1 commands differ against abc1234 "
+        "(exit code 1, stdout 1, stderr 1, files 0)",
     ]

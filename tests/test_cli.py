@@ -539,6 +539,10 @@ REFUSALS = [
     (("hermitize", "bool.json"), 2, "error: rows and cols must be positive integers"),
     (("hermitize", "empty.json"), 2, "error: rows and cols must be positive integers"),
     (("hermitize", "nilpotent.json"), 4, "DefectiveMatrix: eigenvector basis is singular"),
+    # Omega† Omega would overflow: refused before numpy warns
+    *[(("hermitize", "H.json", "--k-diag", "1e155,1e155", *flag), 5,
+       "NotPositiveDefinite: ||Omega||_F 1.768e+155 exceeds 1.341e+154, "
+       "beyond which the metric overflows") for flag in ((), ("--hermitian-omega",))],
     (("scan", "--kappa", "inf", *_SCAN[3:], "--step", "0.5"), 2,
      "error: kappa must be positive and finite"),
     (("scan", "--kappa", "-1", *_SCAN[3:], "--step", "0.5"), 2,

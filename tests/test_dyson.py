@@ -42,7 +42,7 @@ from quasiherm.models import (
     dimer_from_coupling,
     fermionic_build,
 )
-from quasiherm.observables import observable_from_M
+from quasiherm.observables import avatar_of_observable, check_diagonal_center, observable_from_M
 
 LOG2 = np.log(2.0)
 DIMER_H = dimer_hamiltonian(1.25, 0.75)
@@ -224,6 +224,24 @@ class TestMetric:
     def test_metric_from_theta_validates(self):
         with pytest.raises(NotPositiveDefinite):
             metric_from_theta(np.diag([1.0, -1.0]))
+
+    def test_overflowing_map_refused_before_the_product(self):
+        # pytest turns numpy's overflow warning into an error, so none is raised
+        bound = linalg._MAX_BASIS_BOUND
+        at_bound = DysonMap(omega=np.diag([bound, 0.0]), omega_inv=np.eye(2), family="I")
+        with pytest.raises(NotPositiveDefinite, match="^candidate metric's smallest"):
+            metric_of(at_bound)
+        past = DysonMap(omega=np.diag([bound, bound]), omega_inv=np.eye(2), family="I")
+        with pytest.raises(NotPositiveDefinite) as info:
+            metric_of(past)
+        assert str(info.value) == (f"||Omega||_F {fro(past.omega):.3e} exceeds {bound:.3e}, "
+                                   "beyond which the metric overflows")
+
+    @pytest.mark.parametrize("c", [1e154, 1e155])
+    @pytest.mark.parametrize("hermitian_map", [False, True])
+    def test_hermitize_refuses_an_overflowing_metric(self, c, hermitian_map):
+        with pytest.raises(NotPositiveDefinite, match=r"^\|\|Omega\|\|_F .* exceeds 1\.341e\+154"):
+            hermitize(DIMER_H, k_diag=[c, c], hermitian_map=hermitian_map)
 
 
 class TestHermitianAvatar:
@@ -493,6 +511,17 @@ class TestInputDomains:
          "H has shape (2, 2) but the metric has shape (3, 3)"),
         (lambda: evolve_norm_check(DIMER_H, np.eye(3), [1.0, 0.0], [0.0]),
          "H has shape (2, 2) but the metric has shape (3, 3)"),
+        (lambda: hermitian_avatar(np.eye(3), closed_dimer_map()),
+         "H has shape (3, 3) but the map has shape (2, 2)"),
+        (lambda: build_report(np.eye(3), solve_schrodinger_pair(DIMER_H), closed_dimer_map(),
+                              metric_from_theta(DIMER_THETA)),
+         "H has shape (3, 3) but the map has shape (2, 2)"),
+        (lambda: observable_from_M(metric_from_theta(DIMER_THETA), np.eye(3)),
+         "M has shape (3, 3) but the metric has shape (2, 2)"),
+        (lambda: avatar_of_observable(np.eye(3), closed_dimer_map()),
+         "A has shape (3, 3) but the map has shape (2, 2)"),
+        (lambda: check_diagonal_center(np.eye(3), build_omega_I(solve_schrodinger_pair(DIMER_H))),
+         "A has shape (3, 3) but the map has shape (2, 2)"),
     ])
     def test_refused_by_name(self, call, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -606,6 +635,10 @@ _NAN_GATES = {
     ),
     "build_omega_KU unitarity": (
         (dyson, "fro"), _nan, lambda m: build_omega_KU(m, np.eye(2)), NotUnitary,
+    ),
+    # a NaN norm would also fail metric_from_theta's gate, so the bound is made NaN
+    "metric_of map norm": (
+        (dyson, "_MAX_BASIS_BOUND"), math.nan, lambda m: metric_of(m), NotPositiveDefinite,
     ),
     "metric_from_theta positivity": (
         (np.linalg, "eigvalsh"), _nan_array,

@@ -6,16 +6,19 @@ Run from anywhere in the repository:
     python tools/bytecheck.py                # the working tree, twice
     python tools/bytecheck.py --against REV  # the working tree against REV
 
-Every command runs as ``python -m quasiherm`` in a fresh directory that holds
-only the input files it names, with ``OPENBLAS_NUM_THREADS=1`` and the tree's
-``src/`` first on ``PYTHONPATH``.  The inputs are written by this script from
-fixed seeds with the standard library, so both sides of a comparison read the
-same bytes.  ``--against`` checks REV out into a temporary ``git worktree``
-and removes it afterwards.
+Every entry runs in a fresh directory that holds only the input files it
+names, with ``OPENBLAS_NUM_THREADS=1`` and the tree's ``src/`` first on
+``PYTHONPATH``: ``python -m quasiherm`` with the listed arguments or, for one
+entry, the working tree's ``tools/compat_sweep.py`` at its defaults.  The
+inputs are written once by this script from fixed seeds with numpy, so both
+sides of a comparison read the same bytes.  ``--against`` checks REV out
+into a temporary ``git worktree`` and removes it afterwards.
 
-The script prints, for each command, which of exit code, stdout, stderr and
-written files differ, then one summary line, and exits 1 if any command
-differs or the working tree gives an exit code other than the listed one.
+The script prints, for each entry, which of exit code, stdout, stderr and
+written files differ, with the changed lines of stdout and stderr (``-``
+from REV or the first run, ``+`` from the working tree), then one summary
+line, and exits 1 if any entry differs or the working tree gives an exit
+code other than the listed one.
 No bytes are stored: output derived from LAPACK depends on its build and on
 the BLAS thread count, so only two runs on one machine are compared.
 """
@@ -23,10 +26,10 @@ the BLAS thread count, so only two runs on one machine are compared.
 from __future__ import annotations
 
 import argparse
+import difflib
 import functools
 import json
 import os
-import random
 import shutil
 import subprocess
 import sys
@@ -35,68 +38,43 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 FIELDS = ("exit code", "stdout", "stderr", "files")
 JOBS = 2  # commands run at once, each child at one BLAS thread
+SHOWN = 4000  # changed lines listed per stream: more than the 2 x 1500 of a changed sweep
+SWEEP = "tools/compat_sweep.py"  # the one entry that runs a script, not the CLI
 
 
-def _matrix(rows) -> bytes:
-    data = [[float(complex(z).real), float(complex(z).imag)] for row in rows for z in row]
-    return json.dumps({"rows": len(rows), "cols": len(rows[0]), "data": data}).encode()
+def _matrix(m) -> bytes:
+    a = np.asarray(m, dtype=complex)
+    data = np.stack([a.real, a.imag], axis=-1).reshape(-1, 2).tolist()
+    return json.dumps({"rows": a.shape[0], "cols": a.shape[1], "data": data}).encode()
 
 
-def _conjugated(h, u, w):
-    # S h S^-1 for S = I + u w^H, whose inverse is I - u w^H / (1 + w^H u); O(n^2)
-    n = len(h)
-    c = 1.0 / (1.0 + sum(w[k].conjugate() * u[k] for k in range(n)))
-    hu = [sum(row[k] * u[k] for k in range(n)) for row in h]
-    x = [[h[i][j] - c * hu[i] * w[j].conjugate() for j in range(n)] for i in range(n)]
-    wx = [sum(w[i].conjugate() * x[i][j] for i in range(n)) for j in range(n)]
-    return [[x[i][j] + u[i] * wx[j] for j in range(n)] for i in range(n)]
+def _real_spectrum(n: int, seed: int) -> np.ndarray:
+    """A dense H = S diag(E) S^-1 with distinct real E and S = I + G, ||G||_2 about 0.6."""
+    rng = np.random.default_rng(seed)
+    energies = np.arange(n) - (n - 1) / 2 + rng.uniform(0.0, 0.3, n)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    s = np.eye(n) + 0.2 / np.sqrt(n) * g
+    return (s * energies) @ np.linalg.inv(s)
 
 
-def _matmul(a, b):
-    return [[sum(row[k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))] for row in a]
-
-
-def _real_spectrum(n: int, seed: int) -> list:
-    """Rows of a dense H with distinct real eigenvalues, similar to a diagonal
-    through three rank-one updates of the identity, each with a closed-form inverse."""
-    rng = random.Random(seed)
-    energies = [k - (n - 1) / 2 + rng.uniform(0.0, 0.3) for k in range(n)]
-    h = [[complex(energies[i]) if i == j else 0j for j in range(n)] for i in range(n)]
-    scale = n**-0.5
-    for _ in range(3):
-        u, w = ([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * scale for _ in range(n)]
-                for _ in range(2))
-        h = _conjugated(h, u, w)
-    return h
-
-
-def _cubic(h):
-    # 2h + h^3, which shares every metric of h
-    h3 = _matmul(h, _matmul(h, h))
-    return [[2 * x + y for x, y in zip(row, row3)] for row, row3 in zip(h, h3)]
-
-
-def _fermion() -> bytes:
-    # The fermionic pairing model at alpha 4, beta 1, omega 0.3, in the occupation basis.
-    h = [[0.0] * 4 for _ in range(4)]
-    h[1][1], h[2][2], h[3][3], h[0][3], h[3][0] = 0.3, 1.0 - 0.3, 1.0, 4.0, 1.0
-    return _matrix(h)
-
-
-DIMER = [[0.75j, 1.25], [1.25, -0.75j]]
+DIMER = np.array([[0.75j, 1.25], [1.25, -0.75j]])
 
 # Input file name -> a function giving its bytes.
 INPUTS = {
     "H.json": lambda: _matrix(DIMER),
     "H1.json": lambda: _matrix(DIMER),
     "H2.json": lambda: _matrix(DIMER),
-    "H_squared.json": lambda: _matrix(_matmul(DIMER, DIMER)),
-    "fermion.json": _fermion,
+    "H_squared.json": lambda: _matrix(DIMER @ DIMER),
+    # the fermionic pairing model at alpha 4, beta 1, omega 0.3, in the occupation basis
+    "fermion.json": lambda: _matrix([[0, 0, 0, 4], [0, 0.3, 0, 0], [0, 0, 0.7, 0], [1, 0, 0, 1]]),
     "n8.json": lambda: _matrix(_real_spectrum(8, 8)),
-    "n8_cubic.json": lambda: _matrix(_cubic(_real_spectrum(8, 8))),
+    # 2h + h^3, which shares every metric of h
+    "n8_cubic.json": lambda: _matrix(2 * (h := _real_spectrum(8, 8)) + h @ h @ h),
     "n256.json": lambda: _matrix(_real_spectrum(256, 256)),
     "sigma_z.json": lambda: _matrix([[1, 0], [0, -1]]),
     "big.json": lambda: _matrix([[1e300, 0], [0, 2e300]]),
@@ -127,6 +105,8 @@ _SCAN = ["scan", "--kappa", "1", "--gamma-min", "0", "--gamma-max", "1"]
 
 # (argv, listed exit code).  Every argument that names an INPUTS key is an input file.
 COMMANDS = [
+    # shared_metric on the seeded pair list, from the working tree's script
+    ([SWEEP], 0),
     # README
     (["hermitize", "H.json"], 0),
     (["hermitize", "H.json", "--k-diag", "2,0.5", "--hermitian-omega"], 0),
@@ -142,6 +122,8 @@ COMMANDS = [
       if name != "H.json" or flags],
     # the polar gate at a scale whose squared singular values would overflow
     (["hermitize", "H.json", "--k-diag", "1e100,1e100", "--hermitian-omega"], 0),
+    # ||Omega||_F past the root of the largest float: Omega† Omega would overflow
+    (["hermitize", "H.json", "--k-diag", "1e155,1e155"], 5),
     # omega and kappa whose squares overflow: DimerParams checks kappa = hypot(omega, gamma)
     (["model", "dimer", "--omega", "1e300", "--alpha", "0", "--out-dir", "out/"], 0),
     # a second scan grid, with gamma = -kappa and kappa on it
@@ -227,7 +209,8 @@ def _run_one(tree: Path, argv: list, workdir: Path) -> Outcome:
     inputs = {name: _input(name) for name in argv if name in INPUTS}
     for name, data in inputs.items():
         (workdir / name).write_bytes(data)
-    proc = subprocess.run([sys.executable, "-m", "quasiherm", *argv], cwd=workdir,
+    program = [str(ROOT / SWEEP)] if argv == [SWEEP] else ["-m", "quasiherm", *argv]
+    proc = subprocess.run([sys.executable, *program], cwd=workdir,
                           env=_env(tree), capture_output=True, timeout=300)
     files = {path.relative_to(workdir).as_posix(): path.read_bytes()
              for path in workdir.rglob("*") if path.is_file()}
@@ -268,16 +251,33 @@ def _name(argv: list) -> str:
     return text if len(text) <= 100 else text[:97] + "..."
 
 
-def compare(ours: list, theirs: list, label: str) -> int:
-    """Print one line per command and the summary line; return the number that differ."""
+def _changed_lines(base: bytes, ours: bytes) -> list[str]:
+    """The lines difflib finds changed from base to ours, with no context."""
+    a, b = (data.decode(errors="replace").splitlines() for data in (base, ours))
+    changed = []
+    for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(None, a, b, autojunk=False).get_opcodes():
+        if tag != "equal":
+            changed += [f"-{line}" for line in a[i1:i2]] + [f"+{line}" for line in b[j1:j2]]
+    return changed or ["(same lines; the bytes differ in line endings or the final newline)"]
+
+
+def compare(base: list, ours: list, label: str) -> int:
+    """Print one line per entry, the changed lines of its differing streams and the
+    summary line; return the number of entries that differ."""
     counts = dict.fromkeys(FIELDS, 0)
     differing = 0
-    for (argv, _code), a, b in zip(COMMANDS, ours, theirs):
+    for (argv, _code), a, b in zip(COMMANDS, base, ours):
         fields = a.differences(b)
         for field in fields:
             counts[field] += 1
         differing += bool(fields)
         print(f"{'differ: ' + ', '.join(fields) if fields else 'same'}  {_name(argv)}")
+        for stream in (field for field in fields if field in ("stdout", "stderr")):
+            changed = _changed_lines(getattr(a, stream), getattr(b, stream))
+            for line in changed[:SHOWN]:
+                print(f"  {stream} {line}")
+            if len(changed) > SHOWN:
+                print(f"  {stream}: {len(changed) - SHOWN} more changed lines")
     detail = ", ".join(f"{field} {count}" for field, count in counts.items())
     print(f"bytecheck: {differing} of {len(COMMANDS)} commands differ {label} ({detail})")
     return differing
@@ -291,12 +291,12 @@ def _worktree_run(rev: str) -> tuple[list, list, str]:
     tree = holder / "tree"
     try:
         subprocess.run([*git, "worktree", "add", "--detach", "--quiet", str(tree), sha], check=True)
-        ours, theirs = run([ROOT, tree])
+        base, ours = run([tree, ROOT])
     finally:
         subprocess.run([*git, "worktree", "remove", "--force", str(tree)], capture_output=True)
         shutil.rmtree(holder, ignore_errors=True)
         subprocess.run([*git, "worktree", "prune"], capture_output=True)
-    return ours, theirs, sha
+    return base, ours, sha
 
 
 def main(argv=None) -> int:
@@ -305,15 +305,15 @@ def main(argv=None) -> int:
                         help="compare the working tree with this git revision")
     args = parser.parse_args(argv)
     if args.against is None:
-        ours, theirs = run([ROOT, ROOT])
+        base, ours = run([ROOT, ROOT])
         label = "between two runs of the working tree"
     else:
-        ours, theirs, sha = _worktree_run(args.against)
+        base, ours, sha = _worktree_run(args.against)
         label = f"against {sha}"
     unexpected = unexpected_exits(ours)
     for command, listed, got in unexpected:
         print(f"exit code {got}, listed {listed}: {_name(command)}")
-    differing = compare(ours, theirs, label)
+    differing = compare(base, ours, label)
     return 1 if differing or unexpected else 0
 
 

@@ -1,5 +1,4 @@
-"""Print shared_metric's answer on a fixed, seeded list of pairs, one line each,
-so that two trees can be compared with diff.
+"""Print shared_metric's answer on a fixed, seeded list of pairs, one line each.
 
     PYTHONPATH=src python tools/compat_sweep.py [--seed 18] [--count 1500]
 
@@ -10,8 +9,9 @@ the index, the kind, n, cond(S), the status, solution_space_dim, the first 16
 hex digits of the SHA-256 of the metric's bytes (or "-"), and, for a sharing
 pair, which gates the exact metric S^-dagger S^-1, formed in floating point
 and scaled to trace n, fails ("none", "residual", "positivity" or both).
-Output derived from LAPACK depends on its build and the BLAS thread count, so
-compare two trees on one machine at OPENBLAS_NUM_THREADS=1.
+Output derived from LAPACK depends on its build and the BLAS thread count;
+tools/bytecheck.py runs this script at its defaults as one of its entries and
+lists the lines that differ between two trees on one machine.
 """
 
 from __future__ import annotations
