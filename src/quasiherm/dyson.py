@@ -75,14 +75,12 @@ class DysonMap:
 
     family is "I", "K", or "KU" for the maps built here, and the model name
     ("dimer" or "fermion") for the closed-form maps of ``quasiherm model``.
-    k_diag carries the diagonal of K for the K and KU families; u_matrix
-    carries the unitary for the KU family.
+    u_matrix carries the unitary for the KU family.
     """
 
     omega: np.ndarray
     omega_inv: np.ndarray
     family: str
-    k_diag: np.ndarray | None = None
     u_matrix: np.ndarray | None = None
 
     @property
@@ -160,7 +158,7 @@ def build_omega_K(base: DysonMap, k_diag, tol: Tolerances = DEFAULT_TOL) -> Dyso
         )
     omega = k.conj()[:, None] * base.omega
     omega_inv = base.omega_inv / k.conj()[None, :]
-    return DysonMap(omega=omega, omega_inv=omega_inv, family="K", k_diag=k)
+    return DysonMap(omega=omega, omega_inv=omega_inv, family="K")
 
 
 def build_omega_KU(base: DysonMap, u, tol: Tolerances = DEFAULT_TOL) -> DysonMap:
@@ -178,7 +176,6 @@ def build_omega_KU(base: DysonMap, u, tol: Tolerances = DEFAULT_TOL) -> DysonMap
         omega=um @ base.omega,
         omega_inv=base.omega_inv @ um.conj().T,
         family="KU",
-        k_diag=base.k_diag,
         u_matrix=um,
     )
 

@@ -97,27 +97,21 @@ def write_matrix_file(path, m: np.ndarray) -> None:
         fh.write("\n")
 
 
-# ".17g" spells the non-finite floats as no JSON reader does; json.dumps
-# writes these literals, and json.load reads them back.
-_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+# ".17g" spells negative zero as "-0", which json reads as integer zero, and the
+# non-finite floats as no JSON reader does; json.dumps and json.load use these.
+_SPELLING = {"-0": "-0.0", "inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
 def _fmt_float(x: float) -> str:
-    x = float(x)
-    # ".17g" renders negative zero as "-0", which json parses as integer zero
-    # and drops the sign; force a float literal for that one value
-    if x == 0.0 and np.signbit(x):
-        return "-0.0"
     text = format(x, ".17g")
-    return _NON_FINITE.get(text, text)
+    return _SPELLING.get(text, text)
 
 
 def _emit_pairs(data: np.ndarray, pad: str) -> str:
-    # The generic path's bytes for the same data as [re, im] lists, from one
-    # %-format pass over an (entries, 2) float array.  ".17g" writes negative
-    # zero as "-0", which can only stand as "[-0," or " -0]"; _fmt_float's
-    # "-0.0" is put back there.  The only letters it writes are the "e" of an
-    # exponent and those of "inf" and "nan", which become _NON_FINITE's.
+    # _fmt_float's bytes for an (entries, 2) float array as [re, im] lists, in
+    # one %-format pass.  ".17g" writes negative zero as "-0", which can only
+    # stand as "[-0," or " -0]", and its only letters are the "e" of an
+    # exponent and those of "inf" and "nan": each gets _SPELLING's text.
     sep = ",\n" + pad + "  "
     template = "[\n" + pad + "  " + sep.join(["[%.17g, %.17g]"] * len(data)) + "\n" + pad + "]"
     text = template % tuple(data.ravel().tolist())
@@ -125,52 +119,45 @@ def _emit_pairs(data: np.ndarray, pad: str) -> str:
     return text.replace("inf", "Infinity").replace("nan", "NaN")
 
 
+def _scalar(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return _fmt_float(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    raise TypeError(f"cannot serialize {type(value)!r}")
+
+
 def _emit(value, indent: int) -> str:
     pad = "  " * indent
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = []
-        for k, v in value.items():
-            items.append(f'{pad}  "{k}": {_emit(v, indent + 1)}')
+        items = [f'{pad}  "{k}": {_emit(v, indent + 1)}' for k, v in value.items()]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(value, np.ndarray):
-        if value.size and (value.shape[1:] != (2,) or value.dtype.kind not in "biuf"):
+        if value.shape[1:] != (2,) or value.dtype.kind != "f":
             raise TypeError(
                 f"cannot serialize an array of shape {value.shape} and dtype {value.dtype}: "
-                "expected an (entries, 2) real array of [re, im] pairs"
+                "expected an (entries, 2) float array of [re, im] pairs"
             )
-        if value.dtype.kind != "f" or not value.size:
-            # integers and booleans keep every digit, and their JSON type, as
-            # lists; an empty array of any shape has no pairs to format
-            return _emit(value.tolist(), indent)
-        return _emit_pairs(value, pad)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if all(not isinstance(v, (dict, list, tuple)) for v in value):
-            return "[" + ", ".join(_emit(v, indent) for v in value) + "]"
-        items = [f"{pad}  {_emit(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _fmt_float(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if value is None:
-        return "null"
-    raise TypeError(f"cannot serialize {type(value)!r}")
+        return _emit_pairs(value, pad) if len(value) else "[]"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_scalar, value)) + "]"
+    return _scalar(value)
 
 
 def emit_json(doc) -> str:
-    """Render a document in its dict key order with .17g float formatting.
+    """Render a document as report_document, compat_document and dump_matrix build it.
 
-    An (entries, 2) real array renders as its ``tolist()`` would.  Non-finite
-    floats render as ``Infinity``, ``-Infinity`` and ``NaN``, as json.dumps
-    writes them.
+    Dicts keep their key order.  Strings, bools, ints, floats (.17g, and
+    ``Infinity``, ``-Infinity`` and ``NaN`` as json.dumps writes them) and flat
+    lists of these render as JSON; the (entries, 2) float array of matrix data
+    renders as its ``tolist()`` would, ``(0, 2)`` as ``[]``.  Anything else
+    raises TypeError naming its type, or an array's shape and dtype.
     """
     return _emit(doc, 0)
 

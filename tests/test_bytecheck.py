@@ -2,7 +2,9 @@
 derived from LAPACK depends on its build and on the BLAS thread count."""
 
 import importlib.util
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -63,4 +65,29 @@ def test_differing_streams_list_their_changed_lines(bytecheck, capsys, monkeypat
         "  stderr +error: y",
         "bytecheck: 1 of 1 commands differ against abc1234 "
         "(exit code 1, stdout 1, stderr 1, files 0)",
+    ]
+
+
+def test_stderr_names_no_tree_root(bytecheck, capsys, monkeypatch, tmp_path):
+    # a numpy warning names its source file under the tree whose src/ the child imports
+    def run_in(tree, workdir, extra=b""):
+        def fake_run(command, cwd, env, **kwargs):
+            src = os.fsencode(env["PYTHONPATH"].split(os.pathsep)[0])
+            warning = src + b"/quasiherm/observables.py:122: RuntimeWarning: overflow\n"
+            return subprocess.CompletedProcess(command, 8, b"Inconclusive\n", warning + extra)
+
+        monkeypatch.setattr(bytecheck.subprocess, "run", fake_run)
+        return bytecheck._run_one(tree, ["compat", "H1.json", "H2.json"], tmp_path / workdir)
+
+    base = run_in(tmp_path / "bytecheck-rev" / "tree", "base")
+    assert base.stderr == b"<tree>/src/quasiherm/observables.py:122: RuntimeWarning: overflow\n"
+    assert run_in(bytecheck.ROOT, "same") == base
+    changed = run_in(bytecheck.ROOT, "changed", b"error: x\n")
+    monkeypatch.setattr(bytecheck, "COMMANDS", [(["compat", "H1.json", "H2.json"], 8)])
+    assert bytecheck.compare([base], [changed], "against abc1234") == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differ: stderr  compat H1.json H2.json",
+        "  stderr +error: x",
+        "bytecheck: 1 of 1 commands differ against abc1234 "
+        "(exit code 0, stdout 0, stderr 1, files 0)",
     ]

@@ -11,8 +11,10 @@ names, with ``OPENBLAS_NUM_THREADS=1`` and the tree's ``src/`` first on
 ``PYTHONPATH``: ``python -m quasiherm`` with the listed arguments or, for one
 entry, the working tree's ``tools/compat_sweep.py`` at its defaults.  The
 inputs are written once by this script from fixed seeds with numpy, so both
-sides of a comparison read the same bytes.  ``--against`` checks REV out
-into a temporary ``git worktree`` and removes it afterwards.
+sides of a comparison read the same bytes.  In stderr the tree's root reads
+``<tree>``, so a warning that names its source file reads alike in both.
+``--against`` checks REV out into a temporary ``git worktree`` and removes it
+afterwards.
 
 The script prints, for each entry, which of exit code, stdout, stderr and
 written files differ, with the changed lines of stdout and stderr (``-``
@@ -215,7 +217,9 @@ def _run_one(tree: Path, argv: list, workdir: Path) -> Outcome:
     files = {path.relative_to(workdir).as_posix(): path.read_bytes()
              for path in workdir.rglob("*") if path.is_file()}
     written = sorted(item for item in files.items() if inputs.get(item[0]) != item[1])
-    return Outcome(proc.returncode, proc.stdout, proc.stderr, tuple(written))
+    # a warning names its source file under the tree: both trees print one root
+    stderr = proc.stderr.replace(os.fsencode(tree), b"<tree>")
+    return Outcome(proc.returncode, proc.stdout, stderr, tuple(written))
 
 
 def _check_import(tree: Path, workdir: Path) -> None:
