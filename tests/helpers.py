@@ -1,6 +1,15 @@
-"""Shared generators for randomized test suites."""
+"""Shared generators for randomized test suites, the dimer at kappa 1.25, gamma 0.75,
+and the runners of the command line and of the scripts in tools/."""
+
+import importlib.util
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TIMEOUT = 300  # seconds: a hung child fails its test instead of stalling the suite
 
 
 def random_real_spectrum(rng, n, cond_cap=100.0):
@@ -38,3 +47,22 @@ def random_hermitian(rng, n):
 
 def dimer_hamiltonian(kappa, gamma):
     return np.array([[1j * gamma, kappa], [kappa, -1j * gamma]], dtype=np.complex128)
+
+
+DIMER_H = dimer_hamiltonian(1.25, 0.75)
+DIMER_THETA = np.array([[1.25, -0.75j], [0.75j, 1.25]])
+
+
+def run_cli(*args, **kwargs):
+    """`python -m quasiherm` with these arguments, its output captured as text."""
+    return subprocess.run([sys.executable, "-m", "quasiherm", *args], capture_output=True,
+                          text=True, timeout=TIMEOUT, **kwargs)
+
+
+def load_tool(name):
+    """The module tools/<name>.py, entered in sys.modules, where dataclasses look it up."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module

@@ -5,8 +5,6 @@ asserts, so a red run still reports every criterion it reached.
 """
 
 import json
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -18,6 +16,7 @@ from helpers import (
     random_k_diag,
     random_real_spectrum,
     random_unitary,
+    run_cli,
 )
 from quasiherm import (
     DefectiveMatrix,
@@ -247,12 +246,6 @@ def test_criterion_8_observables_and_compatibility():
     _verdict(8, ok, detail)
 
 
-def _run(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "quasiherm", *args], capture_output=True, text=True
-    )
-
-
 def test_criterion_9_cli_determinism_and_exit_codes(tmp_path):
     dimer_path = tmp_path / "dimer.json"
     write_matrix_file(dimer_path, dimer_hamiltonian(1.25, 0.75))
@@ -265,30 +258,22 @@ def test_criterion_9_cli_determinism_and_exit_codes(tmp_path):
     bad_path = tmp_path / "bad.json"
     bad_path.write_text("{broken")
 
-    herm_a = _run("hermitize", str(dimer_path), "--k-diag", "2,0.5", "--hermitian-omega")
-    herm_b = _run("hermitize", str(dimer_path), "--k-diag", "2,0.5", "--hermitian-omega")
-    scan_a = _run("scan", "--kappa", "1", "--gamma-min", "0.9", "--gamma-max", "1.1",
-                  "--step", "0.001")
-    scan_b = _run("scan", "--kappa", "1", "--gamma-min", "0.9", "--gamma-max", "1.1",
-                  "--step", "0.001")
+    herm_a = run_cli("hermitize", str(dimer_path), "--k-diag", "2,0.5", "--hermitian-omega")
+    herm_b = run_cli("hermitize", str(dimer_path), "--k-diag", "2,0.5", "--hermitian-omega")
+    scan_a, scan_b = (run_cli("scan", "--kappa", "1", "--gamma-min", "0.9", "--gamma-max", "1.1",
+                              "--step", "0.001") for _ in range(2))
 
     codes = {
         "ok": herm_a.returncode,
-        "malformed": _run("hermitize", str(bad_path)).returncode,
-        "complex": _run("hermitize", str(spiral_path)).returncode,
-        "defective": _run("hermitize", str(ep_path)).returncode,
-        "ep_region": _run("model", "dimer", "--kappa", "1", "--gamma", "1",
-                          "--out-dir", str(tmp_path / "m")).returncode,
-        "no_shared": _run("compat", str(dimer_path), str(sz_path)).returncode,
+        "malformed": run_cli("hermitize", str(bad_path)).returncode,
+        "complex": run_cli("hermitize", str(spiral_path)).returncode,
+        "defective": run_cli("hermitize", str(ep_path)).returncode,
+        "ep_region": run_cli("model", "dimer", "--kappa", "1", "--gamma", "1",
+                             "--out-dir", str(tmp_path / "m")).returncode,
+        "no_shared": run_cli("compat", str(dimer_path), str(sz_path)).returncode,
     }
-    expected = {
-        "ok": 0,
-        "malformed": 2,
-        "complex": 3,
-        "defective": 4,
-        "ep_region": 6,
-        "no_shared": 7,
-    }
+    expected = {"ok": 0, "malformed": 2, "complex": 3, "defective": 4, "ep_region": 6,
+                "no_shared": 7}
     deterministic = herm_a.stdout == herm_b.stdout and scan_a.stdout == scan_b.stdout
     report_valid = json.loads(herm_a.stdout)["passed"] is True
     ok = deterministic and report_valid and codes == expected

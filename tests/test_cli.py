@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dimer_hamiltonian, random_real_spectrum
+from helpers import DIMER_H, TIMEOUT, random_real_spectrum, run_cli
 from quasiherm import DEFAULT_TOL, Metric, errors, hermitize, shared_metric
 from quasiherm.cli import _tolerances, build_parser, main
 from quasiherm.matfile import (
@@ -25,8 +25,6 @@ from quasiherm.matfile import (
     report_document,
     write_matrix_file,
 )
-
-DIMER_H = dimer_hamiltonian(1.25, 0.75)
 
 # Floats whose ".17g" text needs care: signed zeros, subnormals, the ends of
 # the float range, integral values that print without a decimal point, and
@@ -42,13 +40,6 @@ def write_h(tmp_path, name, m):
     path = tmp_path / name
     write_matrix_file(path, np.asarray(m, dtype=np.complex128))
     return str(path)
-
-
-def run_cli(*args):
-    proc = subprocess.run(
-        [sys.executable, "-m", "quasiherm", *args], capture_output=True, text=True
-    )
-    return proc
 
 
 class TestMatrixFiles:
@@ -280,18 +271,6 @@ class TestHermitizeCommand:
         b = np.array(doc_ku["metric"]["data"])
         assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(a))
 
-    def test_complex_spectrum_exit(self, tmp_path):
-        path = write_h(tmp_path, "h.json", [[0.0, 1.0], [-1.0, 0.0]])
-        assert main(["hermitize", path]) == 3
-
-    def test_defective_exit(self, tmp_path):
-        path = write_h(tmp_path, "h.json", [[1.0j, 1.0], [1.0, -1.0j]])
-        assert main(["hermitize", path]) == 4
-
-    def test_exactly_singular_basis_exit(self, tmp_path):
-        path = write_h(tmp_path, "h.json", np.diag([1.0, 1.0], k=1))
-        assert main(["hermitize", path]) == 4
-
     @pytest.mark.parametrize("flag", ["--tol-residual", "--tol-reality", "--tol-positivity"])
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_non_finite_tolerance_exit(self, tmp_path, capsys, flag, value):
@@ -309,18 +288,6 @@ class TestHermitizeCommand:
         assert doc["residuals"]["quasi_hermiticity"] == math.inf
         assert doc["passed"] is False
 
-    def test_malformed_file_exit(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert main(["hermitize", str(bad)]) == 2
-
-    def test_integer_beyond_float_range_exit(self, tmp_path, capsys):
-        path = tmp_path / "huge.json"
-        path.write_text('{"rows": 1, "cols": 1, "data": [[1' + "0" * 400 + ", 0]]}")
-        assert main(["hermitize", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-
     def test_report_round_trips_library_bits(self, tmp_path, capsys):
         h, _energies, _s = random_real_spectrum(np.random.default_rng(5), 32)
         path = write_h(tmp_path, "h.json", h)
@@ -330,28 +297,6 @@ class TestHermitizeCommand:
         for key, m in (("metric", metric.theta), ("avatar", avatar)):
             back = np.array(doc[key]["data"], dtype=np.float64)
             assert back.tobytes() == np.ascontiguousarray(m, dtype=np.complex128).tobytes()
-
-    def test_missing_file_exit(self, tmp_path):
-        assert main(["hermitize", str(tmp_path / "absent.json")]) == 2
-
-    def test_singular_scaling_exit(self, tmp_path):
-        path = write_h(tmp_path, "h.json", DIMER_H)
-        assert main(["hermitize", path, "--k-diag", "0,1"]) == 5
-
-    def test_unreadable_k_diag_exit(self, tmp_path):
-        path = write_h(tmp_path, "h.json", DIMER_H)
-        assert main(["hermitize", path, "--k-diag", "abc,1"]) == 2
-
-    def test_unattainable_tolerance_exit(self, tmp_path, capsys):
-        # a tolerance below machine precision trips the avatar certification
-        path = write_h(tmp_path, "h.json", DIMER_H)
-        assert main(["hermitize", path, "--tol-residual", "1e-17"]) == 5
-        capsys.readouterr()
-
-    def test_unknown_flag_exit(self, tmp_path, capsys):
-        path = write_h(tmp_path, "h.json", DIMER_H)
-        assert main(["hermitize", path, "--frobnicate"]) == 2
-        capsys.readouterr()
 
 
 class TestModelCommand:
@@ -392,73 +337,11 @@ class TestModelCommand:
         avatar = load_matrix_file(out / "avatar.json")
         assert avatar[0, 3] == pytest.approx(2.0)
 
-    def test_ep_region_exit(self, tmp_path, capsys):
-        assert main(["model", "dimer", "--kappa", "1", "--gamma", "1",
-                     "--out-dir", str(tmp_path)]) == 6
-        capsys.readouterr()
-
-    def test_invalid_coupling_exit(self, tmp_path, capsys):
-        assert main(["model", "fermion", "--alpha", "1", "--beta", "-1", "--omega", "0.5",
-                     "--out-dir", str(tmp_path)]) == 6
-        capsys.readouterr()
-
-    def test_flag_conflicts_exit(self, tmp_path, capsys):
-        assert main(["model", "dimer", "--omega", "1", "--alpha", "0.1", "--kappa", "1",
-                     "--gamma", "0.5", "--out-dir", str(tmp_path)]) == 2
-        assert main(["model", "dimer", "--omega", "1", "--out-dir", str(tmp_path)]) == 2
-        assert main(["model", "fermion", "--alpha", "1", "--out-dir", str(tmp_path)]) == 2
-        capsys.readouterr()
-
-    @pytest.mark.parametrize("flags,line", [
-        (("fermion", "--alpha", "4", "--beta", "1", "--omega", "0.3", "--kappa", "5",
-          "--gamma", "2"),
-         "error: fermion takes --alpha --beta --omega; "
-         "given: --omega --alpha --beta --kappa --gamma"),
-        (("dimer", "--omega", "1", "--alpha", "0.5", "--beta", "3"),
-         "error: dimer takes --omega --alpha, or --kappa --gamma; given: --omega --alpha --beta"),
-        (("dimer",), "error: dimer takes --omega --alpha, or --kappa --gamma; given: none"),
-    ], ids=["fermion-with-dimer-flags", "dimer-with-beta", "dimer-without-flags"])
-    def test_other_model_flags_refused(self, tmp_path, capsys, flags, line):
-        out = tmp_path / "out"
-        assert main(["model", *flags, "--out-dir", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.splitlines() == [line]
-        assert captured.out == "" and not out.exists()
-
-    @pytest.mark.parametrize("flags", [
-        ("dimer", "--omega", "1", "--alpha", "1000"),
-        ("dimer", "--kappa", "1e300", "--gamma", "0"),
-        ("fermion", "--alpha", "1e200", "--beta", "1e-200", "--omega", "0.3"),
-        ("fermion", "--alpha", "1e300", "--beta", "1e300", "--omega", "0.3"),
-    ])
-    def test_overflowing_parameters_exit(self, tmp_path, flags):
-        proc = run_cli("model", *flags, "--out-dir", str(tmp_path))
-        assert proc.returncode == 2
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith(f"error: {flags[0]} parameters "), proc.stderr
-        assert lines[0].endswith(" overflow the float range")
-        assert all(flag in lines[0] for flag in flags[1::2])
-
     def test_rapidity_flags_beyond_squaring(self, tmp_path, capsys):
         # --kappa 1e300 --gamma 0 still exits 2: dimer_from_coupling squares kappa
         assert main(["model", "dimer", "--omega", "1e300", "--alpha", "0",
                      "--out-dir", str(tmp_path)]) == 0
         assert json.loads(capsys.readouterr().out)["energies"] == [-1e300, 1e300]
-
-    @pytest.mark.parametrize("flags,given", [
-        (("--kappa", "1e-170", "--gamma", "0"), "--kappa 1e-170 --gamma 0.0"),
-        (("--kappa", "1e-200", "--gamma", "5e-201"), "--kappa 1e-200 --gamma 5e-201"),
-        (("--omega", "1e-320", "--alpha", "0.5"), "--omega 1e-320 --alpha 0.5"),
-        # echoed exactly: rounded to 6 digits, gamma would read as kappa, the EP
-        (("--kappa", "1e-150", "--gamma", "9.99999999e-151"),
-         "--kappa 1e-150 --gamma 9.99999999e-151"),
-    ])
-    def test_underflowing_parameters_exit(self, tmp_path, flags, given):
-        proc = run_cli("model", "dimer", *flags, "--out-dir", str(tmp_path))
-        assert proc.returncode == 2
-        assert proc.stderr.splitlines() == [
-            f"error: dimer parameters {given} underflow the float range"
-        ], proc.stderr
 
     def test_rapidity_beyond_float64_exit(self, tmp_path, capsys):
         assert main(["model", "dimer", "--omega", "1", "--alpha", "20",
@@ -521,77 +404,12 @@ class TestScanCommand:
         rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
         assert [float(row[0]) for row in rows if row[3] == "true"] == flagged
 
-    def test_bad_flags_exit(self, capsys):
-        assert main(["scan", "--kappa", "1", "--gamma-min", "0", "--gamma-max", "1",
-                     "--step", "0"]) == 2
-        assert main(["scan", "--kappa", "1", "--gamma-min", "1", "--gamma-max", "0",
-                     "--step", "0.1"]) == 2
-        assert main(["scan", "--kappa", "-1", "--gamma-min", "0", "--gamma-max", "1",
-                     "--step", "0.1"]) == 2
-        capsys.readouterr()
-
-
-_SCAN = ("scan", "--kappa", "1", "--gamma-min", "0", "--gamma-max", "1")
-
-# Inputs outside the library's domain, each refused where it enters: argv, exit
-# code and the one stderr line.
-REFUSALS = [
-    (("hermitize", "H.json", "--k-diag", ""), 2, "error: k_diag has 0 entries for dimension 2"),
-    (("hermitize", "H.json", "--k-diag", "1,nan"), 2, "error: k_diag entries must be finite"),
-    (("hermitize", "H.json", "--k-diag", "1,inf"), 2, "error: k_diag entries must be finite"),
-    (("hermitize", "bool.json"), 2, "error: rows and cols must be positive integers"),
-    (("hermitize", "empty.json"), 2, "error: rows and cols must be positive integers"),
-    (("hermitize", "nilpotent.json"), 4, "DefectiveMatrix: eigenvector basis is singular"),
-    # Omega† Omega would overflow: refused before numpy warns
-    *[(("hermitize", "H.json", "--k-diag", "1e155,1e155", *flag), 5,
-       "NotPositiveDefinite: ||Omega||_F 1.768e+155 exceeds 1.341e+154, "
-       "beyond which the metric overflows") for flag in ((), ("--hermitian-omega",))],
-    (("scan", "--kappa", "inf", *_SCAN[3:], "--step", "0.5"), 2,
-     "error: kappa must be positive and finite"),
-    (("scan", "--kappa", "-1", *_SCAN[3:], "--step", "0.5"), 2,
-     "error: kappa must be positive and finite"),
-    ((*_SCAN, "--step", "nan"), 2, "error: --step must be finite"),
-    (("scan", "--kappa", "1", "--gamma-min", "nan", "--gamma-max", "1", "--step", "0.5"), 2,
-     "error: --gamma-min must be finite"),
-    (("scan", "--kappa", "1", "--gamma-min", "0", "--gamma-max", "inf", "--step", "0.5"), 2,
-     "error: --gamma-max must be finite"),
-    ((*_SCAN[:6], "1e308", "--step", "1e308"), 2,
-     "error: kappa and |gamma| must not exceed half the largest float"),
-    # fails before numpy allocates anything: the grid would take 72.8 TiB
-    ((*_SCAN, "--step", "1e-13"), 2,
-     "error: --step 1e-13 gives 10000000000001 grid points, too many to allocate"),
-    (("model", "fermion", "--alpha", "nan", "--beta", "1", "--omega", "0.3"), 2,
-     "error: alpha must be finite, got nan"),
-    (("model", "dimer", "--omega", "1", "--alpha", "inf"), 2, "error: alpha must be finite, got inf"),
-    (("model", "dimer", "--omega", "1", "--alpha", "nan"), 2, "error: alpha must be finite, got nan"),
-    (("model", "dimer", "--kappa", "1", "--gamma", "nan"), 2, "error: gamma must be finite, got nan"),
-    (("model", "dimer", "--kappa", "inf", "--gamma", "0"), 2, "error: kappa must be finite, got inf"),
-]
-
-
-class TestRefusals:
-    @pytest.mark.parametrize("argv,code,line", REFUSALS, ids=[" ".join(r[0]) for r in REFUSALS])
-    def test_refused_with_one_line(self, tmp_path, argv, code, line):
-        write_h(tmp_path, "H.json", DIMER_H)
-        write_h(tmp_path, "nilpotent.json", np.diag([1.0, 1.0], k=1))
-        (tmp_path / "bool.json").write_text('{"rows": true, "cols": true, "data": [[2.0, 0.0]]}')
-        (tmp_path / "empty.json").write_text('{"rows": 0, "cols": 0, "data": []}')
-        before = sorted(tmp_path.iterdir())
-        out_dir = ("--out-dir", "out") if argv[0] == "model" else ()
-        # the children fail on a numpy RuntimeWarning (conftest.py); the one
-        # expected stderr line leaves no room for a traceback or a warning
-        proc = subprocess.run([sys.executable, "-m", "quasiherm", *argv, *out_dir],
-                              capture_output=True, text=True, cwd=tmp_path)
-        assert (proc.returncode, proc.stderr.splitlines()) == (code, [line]), proc.stderr
-        assert proc.stdout == ""
-        assert sorted(tmp_path.iterdir()) == before
-
 
 # A command line that parses, per subcommand, and every option each one declares.
 _BASE_ARGV = {
     "hermitize": ["hermitize", "h.json"],
     "model": ["model", "dimer"],
-    "scan": list(_SCAN) + ["--step", "0.5"],
+    "scan": ["scan", "--kappa", "1", "--gamma-min", "0", "--gamma-max", "1", "--step", "0.5"],
     "compat": ["compat", "h1.json", "h2.json"],
 }
 _OPTIONS = [
@@ -670,7 +488,8 @@ class TestImports:
             " '--gamma-max', '2', '--step', '0.25']) == 0\n"
             "print('scipy' in sys.modules)\n"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=TIMEOUT)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
@@ -706,19 +525,6 @@ class TestCompatCommand:
         assert doc["solution_space_dim"] == 0
         assert "metric" not in doc
 
-    def test_dimension_mismatch_exit(self, tmp_path, capsys):
-        p1 = write_h(tmp_path, "h1.json", DIMER_H)
-        p2 = write_h(tmp_path, "h2.json", np.eye(3))
-        assert main(["compat", p1, p2]) == 2
-        capsys.readouterr()
-
-    def test_seed_refused(self, tmp_path, capsys):
-        p1 = write_h(tmp_path, "h1.json", DIMER_H)
-        assert main(["compat", p1, p1, "--seed", "3"]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.splitlines()[-1] == "quasiherm: error: unrecognized arguments: --seed 3"
-
 
 # Every command line whose output argparse formats: each --help, and a usage
 # line with each kind of refusal.
@@ -745,28 +551,6 @@ class TestDeterminism:
         assert outputs["80"][1] or outputs["80"][2]
         assert outputs == dict.fromkeys(outputs, outputs["80"])
 
-    def test_hermitize_byte_identical(self, tmp_path):
-        path = write_h(tmp_path, "h.json", DIMER_H)
-        a = run_cli("hermitize", path, "--k-diag", "2,0.5", "--hermitian-omega")
-        b = run_cli("hermitize", path, "--k-diag", "2,0.5", "--hermitian-omega")
-        assert a.returncode == 0 and b.returncode == 0
-        assert a.stdout == b.stdout
-
-    def test_scan_byte_identical(self):
-        a = run_cli("scan", "--kappa", "1", "--gamma-min", "0.9", "--gamma-max", "1.1",
-                    "--step", "0.01")
-        b = run_cli("scan", "--kappa", "1", "--gamma-min", "0.9", "--gamma-max", "1.1",
-                    "--step", "0.01")
-        assert a.returncode == 0 and b.returncode == 0
-        assert a.stdout == b.stdout
-
-    def test_compat_byte_identical(self, tmp_path):
-        path = write_h(tmp_path, "h.json", DIMER_H)
-        a = run_cli("compat", path, path)
-        b = run_cli("compat", path, path)
-        assert a.returncode == 0 and b.returncode == 0
-        assert a.stdout == b.stdout
-
     def test_unset_thread_count_prints_the_one_thread_bytes(self, tmp_path):
         # multithreaded zgeev at n = 256 changes the last digits with the thread
         # count, so these bytes match only if main pins BLAS to one thread
@@ -775,8 +559,7 @@ class TestDeterminism:
         path = write_h(tmp_path, "h.json", (s * np.linspace(-1.0, 1.0, 256)) @ np.linalg.inv(s))
         blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
         unset = {k: v for k, v in os.environ.items() if k not in blas}
-        runs = [subprocess.run([sys.executable, "-m", "quasiherm", "hermitize", path],
-                               env=env, capture_output=True)
+        runs = [run_cli("hermitize", path, env=env)
                 for env in (unset, {**unset, "OPENBLAS_NUM_THREADS": "1"})]
         assert [run.returncode for run in runs] == [0, 0], runs[0].stderr
         assert runs[0].stdout == runs[1].stdout
@@ -810,7 +593,8 @@ class TestReadme:
         blocks = readme_blocks("python")
         assert blocks
         for block in blocks:
-            proc = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True)
+            proc = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True,
+                                  timeout=TIMEOUT)
             assert proc.returncode == 0, proc.stderr
 
     def test_shell_examples_run(self, tmp_path):
@@ -823,6 +607,5 @@ class TestReadme:
                     if line.startswith("quasiherm ")]
         assert commands
         for argv in commands:
-            proc = subprocess.run([sys.executable, "-m", "quasiherm", *argv], cwd=tmp_path,
-                                  capture_output=True, text=True)
+            proc = run_cli(*argv, cwd=tmp_path)
             assert proc.returncode == 0, (argv, proc.stderr)

@@ -1,20 +1,10 @@
 """tools/compat_sweep.py: a short list, printed the same way twice."""
 
-import importlib.util
-import pathlib
-
-TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "compat_sweep.py"
-
-
-def _tool():
-    spec = importlib.util.spec_from_file_location("compat_sweep", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from helpers import load_tool
 
 
 def test_lines_repeat_and_sharing_pairs_are_found_below_cond_1e3(capsys):
-    tool = _tool()
+    tool = load_tool("compat_sweep")
     tool.main(["--seed", "18", "--count", "25"])
     first = capsys.readouterr().out.splitlines()
     tool.main(["--seed", "18", "--count", "25"])

@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dimer_hamiltonian, random_k_diag, random_real_spectrum, random_unitary
+from helpers import DIMER_H, DIMER_THETA, random_k_diag, random_real_spectrum, random_unitary
 from quasiherm import (
     AvatarNotHermitian,
     ComplexSpectrum,
@@ -45,8 +45,6 @@ from quasiherm.models import (
 from quasiherm.observables import avatar_of_observable, check_diagonal_center, observable_from_M
 
 LOG2 = np.log(2.0)
-DIMER_H = dimer_hamiltonian(1.25, 0.75)
-DIMER_THETA = np.array([[1.25, -0.75j], [0.75j, 1.25]])
 DIMER_OMEGA = np.array(
     [
         [3.0 / (2.0 * np.sqrt(2.0)), -1j / (2.0 * np.sqrt(2.0))],

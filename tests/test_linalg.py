@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    DIMER_H,
+    DIMER_THETA,
     dimer_hamiltonian,
     random_hermitian,
     random_k_diag,
@@ -34,9 +36,6 @@ from quasiherm import (
 )
 from quasiherm.linalg import _normalize_columns, fro, hermiticity_residual
 from quasiherm.observables import shared_metric
-
-DIMER_H = np.array([[0.75j, 1.25], [1.25, -0.75j]])
-DIMER_THETA = np.array([[1.25, -0.75j], [0.75j, 1.25]])
 
 
 class TestTolerances:

@@ -9,6 +9,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from helpers import (
+    DIMER_H,
+    DIMER_THETA,
+    TIMEOUT,
     dimer_hamiltonian,
     random_hermitian,
     random_k_diag,
@@ -32,8 +35,6 @@ from quasiherm import (
 from quasiherm import observables
 from quasiherm.linalg import DEFAULT_TOL, as_square_matrix, fro
 
-DIMER_H = dimer_hamiltonian(1.25, 0.75)
-DIMER_THETA = np.array([[1.25, -0.75j], [0.75j, 1.25]])
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
@@ -221,10 +222,28 @@ def _sharing_pairs():
         yield f"n{n}/2h+h^3", h, 2.0 * h + h @ h @ h
 
 
+def _metric_partner(n, seed):
+    """(H1, H2, Theta): H1 = S E S^-1 from random_real_spectrum and H2 = S S† M for a
+    random Hermitian M share Theta = S^-† S^-1, and for a generic M no other metric."""
+    rng = np.random.default_rng(seed)
+    h1, _energies, s = random_real_spectrum(rng, n, cond_cap=1e3)
+    s_inv = np.linalg.inv(s)
+    return h1, s @ s.conj().T @ random_hermitian(rng, n), s_inv.conj().T @ s_inv
+
+
+def _unique_pairs():
+    """Sharing pairs whose shared metric is unique: H2 does not commute with H1."""
+    for n in (4, 8):
+        yield f"n{n}/SS^dagger.M", *_metric_partner(n, n)[:2]
+
+
 def _independent_pairs():
     for n in (8, 16):
         rng = np.random.default_rng(0)
         yield f"n{n}/independent", _random_h(n, rng), _random_h(n, rng)
+    # the partner's S S† M built on an unrelated S: its metric does not serve H1
+    for n in (4, 8):
+        yield f"n{n}/unrelated-SS^dagger.M", _metric_partner(n, n)[0], _metric_partner(n, n + 1)[1]
 
 
 def _dimer_pairs():
@@ -331,7 +350,18 @@ class TestSharedMetricDecision:
         assert result.status == "NoSharedMetric", label
         assert result.theta is None
 
-    @pytest.mark.parametrize("label,h1,h2", list(_sharing_pairs()) + list(_independent_pairs()))
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_metric_partner_shares_one_metric(self, n):
+        h1, h2, theta = _metric_partner(n, n)
+        result = shared_metric(h1, h2)
+        assert (result.status, result.solution_space_dim) == ("Found", 1)
+        assert all(r <= DEFAULT_TOL.residual_rel for r in result.residuals)
+        exact = theta * (n / np.trace(theta).real)
+        assert np.linalg.norm(result.theta.theta - exact) <= 1e-12 * np.linalg.norm(exact)
+
+    @pytest.mark.parametrize(
+        "label,h1,h2", list(_sharing_pairs()) + list(_independent_pairs()) + list(_unique_pairs())
+    )
     def test_status_symmetric(self, label, h1, h2):
         assert shared_metric(h1, h2).status == shared_metric(h2, h1).status, label
 
@@ -398,7 +428,8 @@ class TestSharedMetricDecision:
             "assert shared_metric(h, h @ h).status == 'Found'\n"
             "print('scipy.optimize' in sys.modules)\n"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=TIMEOUT)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
@@ -456,7 +487,9 @@ class TestSharedMetricDecision:
         assert result.solution_space_dim == 2
 
     @pytest.mark.parametrize(
-        "label,h1,h2", list(_sharing_pairs()) + list(_independent_pairs()) + list(_dimer_pairs())
+        "label,h1,h2",
+        list(_sharing_pairs()) + list(_independent_pairs()) + list(_dimer_pairs())
+        + list(_unique_pairs()),
     )
     def test_simple_base_bits_match_reference(self, label, h1, h2):
         status, theta, dim = _reference_simple(h1, h2)

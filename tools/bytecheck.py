@@ -16,13 +16,17 @@ sides of a comparison read the same bytes.  In stderr the tree's root reads
 ``--against`` checks REV out into a temporary ``git worktree`` and removes it
 afterwards.
 
-The script prints, for each entry, which of exit code, stdout, stderr and
-written files differ, with the changed lines of stdout and stderr (``-``
-from REV or the first run, ``+`` from the working tree), then one summary
-line, and exits 1 if any entry differs or the working tree gives an exit
-code other than the listed one.
-No bytes are stored: output derived from LAPACK depends on its build and on
-the BLAS thread count, so only two runs on one machine are compared.
+Each row of ``COMMANDS`` lists what its command line must do: the exit code,
+and the exact stderr where no LAPACK result prints in it.  A row whose exit
+code is 2-6 must also print nothing on stdout and write no file or directory.
+
+The script first prints each way the working tree breaks a row, then, for
+each entry, which of exit code, stdout, stderr and written files differ, with
+the changed lines of stdout and stderr (``-`` from REV, the first run or the
+listed text, ``+`` from the working tree), then one summary line that also
+counts these unexpected outcomes, and exits 1 if any entry differs or breaks
+its row.  No other bytes are listed: output derived from LAPACK depends on its
+build and on the BLAS thread count, so only two runs on one machine are compared.
 """
 
 from __future__ import annotations
@@ -55,13 +59,26 @@ def _matrix(m) -> bytes:
     return json.dumps({"rows": a.shape[0], "cols": a.shape[1], "data": data}).encode()
 
 
-def _real_spectrum(n: int, seed: int) -> np.ndarray:
-    """A dense H = S diag(E) S^-1 with distinct real E and S = I + G, ||G||_2 about 0.6."""
+def _frame(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(S, E): distinct real E and S = I + G with ||G||_2 about 0.6."""
     rng = np.random.default_rng(seed)
     energies = np.arange(n) - (n - 1) / 2 + rng.uniform(0.0, 0.3, n)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    s = np.eye(n) + 0.2 / np.sqrt(n) * g
+    return np.eye(n) + 0.2 / np.sqrt(n) * g, energies
+
+
+def _real_spectrum(n: int, seed: int) -> np.ndarray:
+    """A dense H = S diag(E) S^-1 from _frame(n, seed)."""
+    s, energies = _frame(n, seed)
     return (s * energies) @ np.linalg.inv(s)
+
+
+def _metric_partner(n: int, seed: int) -> np.ndarray:
+    """S S† M for the S of _frame(n, seed) and a Hermitian M from default_rng(0): it
+    shares S^-† S^-1 with _real_spectrum(n, seed) and, M being generic, no other metric."""
+    g = np.random.default_rng(0).standard_normal((n, 2 * n)).view(complex)
+    s = _frame(n, seed)[0]
+    return s @ s.conj().T @ (g + g.conj().T)
 
 
 DIMER = np.array([[0.75j, 1.25], [1.25, -0.75j]])
@@ -72,11 +89,16 @@ INPUTS = {
     "H1.json": lambda: _matrix(DIMER),
     "H2.json": lambda: _matrix(DIMER),
     "H_squared.json": lambda: _matrix(DIMER @ DIMER),
+    # the dimer at its exceptional point kappa = gamma = 1
+    "ep.json": lambda: _matrix([[1j, 1], [1, -1j]]),
     # the fermionic pairing model at alpha 4, beta 1, omega 0.3, in the occupation basis
     "fermion.json": lambda: _matrix([[0, 0, 0, 4], [0, 0.3, 0, 0], [0, 0, 0.7, 0], [1, 0, 0, 1]]),
     "n8.json": lambda: _matrix(_real_spectrum(8, 8)),
     # 2h + h^3, which shares every metric of h
     "n8_cubic.json": lambda: _matrix(2 * (h := _real_spectrum(8, 8)) + h @ h @ h),
+    # S S† M on n8.json's S, whose one shared metric with n8.json is S^-† S^-1, and on another S
+    "n8_partner.json": lambda: _matrix(_metric_partner(8, 8)),
+    "n8_stranger.json": lambda: _matrix(_metric_partner(8, 9)),
     "n256.json": lambda: _matrix(_real_spectrum(256, 256)),
     "sigma_z.json": lambda: _matrix([[1, 0], [0, -1]]),
     "big.json": lambda: _matrix([[1e300, 0], [0, 2e300]]),
@@ -104,86 +126,199 @@ def _k_diag(n: int) -> str:
 
 
 _SCAN = ["scan", "--kappa", "1", "--gamma-min", "0", "--gamma-max", "1"]
+_OUT = ["--out-dir", "out"]
 
-# (argv, listed exit code).  Every argument that names an INPUTS key is an input file.
+# argparse's usage text of the program and of each subcommand, at the CLI's width of 78
+_USAGE = {
+    "": "usage: quasiherm [-h] {hermitize,model,scan,compat} ...\n",
+    "hermitize": "usage: quasiherm hermitize [-h] [--k-diag K1,K2,...] [--hermitian-omega]\n"
+                 "                           [--tol-residual X] [--tol-reality X]\n"
+                 "                           [--tol-positivity X]\n"
+                 "                           input\n",
+    "model": "usage: quasiherm model [-h] [--omega OMEGA] [--alpha ALPHA] [--beta BETA]\n"
+             "                       [--kappa KAPPA] [--gamma GAMMA] [--out-dir DIR]\n"
+             "                       [--tol-residual X] [--tol-reality X]\n"
+             "                       [--tol-positivity X]\n"
+             "                       {dimer,fermion}\n",
+    "scan": "usage: quasiherm scan [-h] --kappa KAPPA --gamma-min GAMMA_MIN --gamma-max\n"
+            "                      GAMMA_MAX --step STEP\n",
+    "compat": "usage: quasiherm compat [-h] [--tol-residual X] [--tol-reality X]\n"
+              "                        [--tol-positivity X]\n"
+              "                        h1 h2\n",
+}
+
+
+def _usage_error(command: str, message: str) -> str:
+    """argparse's stderr when it refuses a command line of this (sub)command."""
+    prog = f"quasiherm {command}".rstrip()
+    return f"{_USAGE[command]}{prog}: error: {message}\n"
+
+
+_DIMER_FLAGS = "error: dimer takes --omega --alpha, or --kappa --gamma; given: "
+_FERMION_FLAGS = "error: fermion takes --alpha --beta --omega; given: "
+
+# (argv, listed exit code, listed stderr).  Every argument that names an INPUTS key is
+# an input file.  The stderr is listed where no LAPACK result prints in it, None elsewhere.
 COMMANDS = [
     # shared_metric on the seeded pair list, from the working tree's script
-    ([SWEEP], 0),
+    ([SWEEP], 0, ""),
     # README
-    (["hermitize", "H.json"], 0),
-    (["hermitize", "H.json", "--k-diag", "2,0.5", "--hermitian-omega"], 0),
-    (["model", "dimer", "--omega", "1", "--alpha", "0.6931471805599453", "--out-dir", "out/"], 0),
-    (["model", "dimer", "--kappa", "1.25", "--gamma", "0.75", "--out-dir", "out/"], 0),
-    (["model", "fermion", "--alpha", "4", "--beta", "1", "--omega", "0.3", "--out-dir", "out/"], 0),
-    (["scan", "--kappa", "1", "--gamma-min", "0.9", "--gamma-max", "1.1", "--step", "0.001"], 0),
-    (["compat", "H1.json", "H2.json"], 0),
+    (["hermitize", "H.json"], 0, ""),
+    (["hermitize", "H.json", "--k-diag", "2,0.5", "--hermitian-omega"], 0, ""),
+    (["model", "dimer", "--omega", "1", "--alpha", "0.6931471805599453", "--out-dir", "out/"],
+     0, ""),
+    (["model", "dimer", "--kappa", "1.25", "--gamma", "0.75", "--out-dir", "out/"], 0, ""),
+    (["model", "fermion", "--alpha", "4", "--beta", "1", "--omega", "0.3", "--out-dir", "out/"],
+     0, ""),
+    (["scan", "--kappa", "1", "--gamma-min", "0.9", "--gamma-max", "1.1", "--step", "0.001"],
+     0, ""),
+    (["compat", "H1.json", "H2.json"], 0, ""),
     # hermitize plain, with K and with the Hermitian map (README has the dimer's plain run)
-    *[(["hermitize", name, *flags], 0)
+    *[(["hermitize", name, *flags], 0, "")
       for name, n in (("H.json", 2), ("fermion.json", 4), ("n8.json", 8), ("n256.json", 256))
       for flags in ([], ["--k-diag", _k_diag(n)], ["--hermitian-omega"])
       if name != "H.json" or flags],
     # the polar gate at a scale whose squared singular values would overflow
-    (["hermitize", "H.json", "--k-diag", "1e100,1e100", "--hermitian-omega"], 0),
-    # ||Omega||_F past the root of the largest float: Omega† Omega would overflow
-    (["hermitize", "H.json", "--k-diag", "1e155,1e155"], 5),
+    (["hermitize", "H.json", "--k-diag", "1e100,1e100", "--hermitian-omega"], 0, ""),
+    # ||Omega||_F past the root of the largest float: Omega† Omega would overflow, and
+    # is refused before numpy warns
+    *[(["hermitize", "H.json", "--k-diag", "1e155,1e155", *flag], 5,
+       "NotPositiveDefinite: ||Omega||_F 1.768e+155 exceeds 1.341e+154, "
+       "beyond which the metric overflows\n") for flag in ([], ["--hermitian-omega"])],
     # omega and kappa whose squares overflow: DimerParams checks kappa = hypot(omega, gamma)
-    (["model", "dimer", "--omega", "1e300", "--alpha", "0", "--out-dir", "out/"], 0),
+    (["model", "dimer", "--omega", "1e300", "--alpha", "0", "--out-dir", "out/"], 0, ""),
     # a second scan grid, with gamma = -kappa and kappa on it
-    (["scan", "--kappa", "2", "--gamma-min", "-3", "--gamma-max", "3", "--step", "0.125"], 0),
+    (["scan", "--kappa", "2", "--gamma-min", "-3", "--gamma-max", "3", "--step", "0.125"], 0, ""),
+    # a kappa whose square overflows (README)
+    (["scan", "--kappa", "1e200", *_SCAN[3:], "--step", "0.5"], 0, ""),
     # a metric found for two different Hamiltonians: two different residuals
-    (["compat", "H.json", "H_squared.json"], 0),
-    (["compat", "n8.json", "n8_cubic.json"], 0),
+    (["compat", "H.json", "H_squared.json"], 0, ""),
+    (["compat", "n8.json", "n8_cubic.json"], 0, ""),
+    # a partner that does not commute with n8.json: one shared metric, then none
+    (["compat", "n8.json", "n8_partner.json"], 0, ""),
+    (["compat", "n8.json", "n8_stranger.json"], 7, ""),
     # exit codes 1 and 3-8
-    (["hermitize", "H.json", "--tol-reality", "1e-16"], 1),
+    (["hermitize", "H.json", "--tol-reality", "1e-16"], 1, ""),
     # ||H|| ||Theta|| overflows: the residual prints as Infinity
-    (["hermitize", "big.json", "--k-diag", "1e5,1e5"], 1),
-    (["hermitize", "rotation.json"], 3),
-    (["hermitize", "jordan.json"], 4),
-    (["hermitize", "nilpotent.json"], 4),
-    (["hermitize", "H.json", "--tol-residual", "1e-17"], 5),
-    (["hermitize", "H.json", "--k-diag", "0,1"], 5),
-    (["model", "dimer", "--kappa", "1", "--gamma", "0.9999999", "--out-dir", "out"], 5),
-    (["model", "dimer", "--omega", "1", "--alpha", "18", "--out-dir", "out"], 5),
-    (["model", "dimer", "--omega", "1", "--alpha", "20", "--out-dir", "out"], 6),
-    (["model", "fermion", "--alpha", "1", "--beta", "-1", "--omega", "0.5", "--out-dir", "out"], 6),
-    (["compat", "H.json", "sigma_z.json"], 7),
-    (["compat", "jordan.json", "jordan.json"], 8),
+    (["hermitize", "big.json", "--k-diag", "1e5,1e5"], 1, ""),
+    (["hermitize", "rotation.json"], 3, None),
+    (["hermitize", "ep.json"], 4, None),
+    (["hermitize", "jordan.json"], 4, None),
+    (["hermitize", "nilpotent.json"], 4, "DefectiveMatrix: eigenvector basis is singular\n"),
+    (["hermitize", "H.json", "--tol-residual", "1e-17"], 5, None),
+    (["hermitize", "H.json", "--k-diag", "0,1"], 5,
+     "SingularScaling: smallest |k_n| 0.000e+00 at or below 1e-12 * 1.000e+00\n"),
+    (["model", "dimer", "--kappa", "1", "--gamma", "0.9999999", *_OUT], 5, None),
+    (["model", "dimer", "--omega", "1", "--alpha", "18", *_OUT], 5, None),
+    (["model", "dimer", "--omega", "1", "--alpha", "20", *_OUT], 6,
+     "EPRegion: alpha = 20: omega cosh(alpha) and omega |sinh(alpha)| round to the same "
+     "float64, which puts the dimer on its exceptional point\n"),
+    (["model", "dimer", "--kappa", "1", "--gamma", "1", *_OUT], 6,
+     "EPRegion: |gamma| = 1 >= kappa = 1: spectrum is not real here\n"),
+    (["model", "fermion", "--alpha", "1", "--beta", "-1", "--omega", "0.5", *_OUT], 6,
+     "InvalidCoupling: alpha * beta must be positive\n"),
+    (["compat", "H.json", "sigma_z.json"], 7, ""),
+    (["compat", "jordan.json", "jordan.json"], 8,
+     "Inconclusive: the candidate from a 2-dimensional solution space failed its metric "
+     "certificate\n"),
     # refused input, exit 2: matrix files
-    *[(["hermitize", name], 2) for name in (
-        "bad.json", "bool.json", "empty.json", "short.json", "pair.json", "nan.json", "huge.json",
-        "missing.json")],
-    (["compat", "H.json", "eye3.json"], 2),
+    *[(["hermitize", name], 2, f"error: {message}\n") for name, message in (
+        ("bad.json", "bad.json: not valid JSON (Expecting property name enclosed in double "
+                     "quotes: line 1 column 2 (char 1))"),
+        ("bool.json", "rows and cols must be positive integers"),
+        ("empty.json", "rows and cols must be positive integers"),
+        ("short.json", "data must hold exactly rows*cols = 4 entries"),
+        ("pair.json", "data[1] must be a [re, im] pair of numbers"),
+        ("nan.json", "matrix entries must be finite"),
+        ("huge.json", "matrix entries must lie within the float range"),
+        ("missing.json", "[Errno 2] No such file or directory: 'missing.json'"))],
+    (["compat", "H.json", "eye3.json"], 2, "error: h1 and h2 must have the same dimension\n"),
     # flags
-    *[(["hermitize", "H.json", "--k-diag", k], 2)
-      for k in ("", "1,nan", "1,inf", "abc,1", "1,2,3")],
-    *[(["hermitize", "H.json", flag, value], 2) for flag, value in (
-        ("--tol-residual", "inf"), ("--tol-reality", "nan"), ("--tol-positivity", "-inf"))],
-    (["hermitize", "H.json", "--frobnicate"], 2),
-    (["compat", "n8.json", "n8.json", "--seed", "3"], 2),
-    (["hermitize", "H.json", "--hermitian-omega", "--hermitian-omega"], 2),
-    (["model", "dimer", "--omega", "1", "--alpha", "0.5", "--omega=2"], 2),
-    (["model", "dimer", "--omega", "1", "--alpha", "0.1", "--kappa", "1", "--gamma", "0.5"], 2),
-    (["model", "dimer"], 2),
-    (["model", "fermion", "--alpha", "4", "--beta", "1", "--omega", "0.3", "--kappa", "5"], 2),
-    (["model", "triangle"], 2),
-    (["model", "fermion", "--alpha", "nan", "--beta", "1", "--omega", "0.3"], 2),
-    (["model", "dimer", "--kappa", "inf", "--gamma", "0"], 2),
-    (["model", "dimer", "--kappa", "1e300", "--gamma", "0"], 2),
-    (["model", "dimer", "--kappa", "1e-150", "--gamma", "9.99999999e-151"], 2),
-    (["scan", "--kappa", "-1", *_SCAN[3:], "--step", "0.5"], 2),
-    (["scan", "--kappa", "inf", *_SCAN[3:], "--step", "0.5"], 2),
-    ([*_SCAN, "--step", "nan"], 2),
-    ([*_SCAN, "--step", "0"], 2),
-    ([*_SCAN, "--step", "1e-13"], 2),
-    ([*_SCAN[:4], "2", "--gamma-max", "1", "--step", "0.5"], 2),
-    ([*_SCAN[:6], "1e308", "--step", "1e308"], 2),
-    (["scan", "--kappa", "1"], 2),
-    (["compat", "H.json"], 2),
-    ([], 2),
-    (["frobnicate"], 2),
+    *[(["hermitize", "H.json", "--k-diag", k], 2, f"error: {message}\n") for k, message in (
+        ("", "k_diag has 0 entries for dimension 2"),
+        ("1,nan", "k_diag entries must be finite"),
+        ("1,inf", "k_diag entries must be finite"),
+        ("abc,1", "complex() arg is a malformed string"),
+        ("1,2,3", "k_diag has 3 entries for dimension 2"))],
+    (["hermitize", "H.json", "--tol-residual", "inf"], 2, "error: --tol-residual must be finite\n"),
+    (["hermitize", "H.json", "--tol-reality", "nan"], 2, "error: --tol-reality must be finite\n"),
+    # argparse reads -inf as an option, not as the value of --tol-positivity
+    (["hermitize", "H.json", "--tol-positivity", "-inf"], 2,
+     _usage_error("hermitize", "argument --tol-positivity: expected one argument")),
+    (["hermitize", "H.json", "--frobnicate"], 2,
+     _usage_error("", "unrecognized arguments: --frobnicate")),
+    (["compat", "n8.json", "n8.json", "--seed", "3"], 2,
+     _usage_error("", "unrecognized arguments: --seed 3")),
+    (["hermitize", "H.json", "--hermitian-omega", "--hermitian-omega"], 2,
+     _usage_error("hermitize", "argument --hermitian-omega: may be given only once")),
+    (["model", "dimer", "--omega", "1", "--alpha", "0.5", "--omega=2"], 2,
+     _usage_error("model", "argument --omega: may be given only once")),
+    (["model", "dimer", "--omega", "1", "--alpha", "0.1", "--kappa", "1", "--gamma", "0.5"], 2,
+     _DIMER_FLAGS + "--omega --alpha --kappa --gamma\n"),
+    (["model", "dimer"], 2, _DIMER_FLAGS + "none\n"),
+    (["model", "dimer", "--omega", "1", *_OUT], 2, _DIMER_FLAGS + "--omega\n"),
+    (["model", "dimer", "--omega", "1", "--alpha", "0.5", "--beta", "3", *_OUT], 2,
+     _DIMER_FLAGS + "--omega --alpha --beta\n"),
+    (["model", "fermion", "--alpha", "4", "--beta", "1", "--omega", "0.3", "--kappa", "5"], 2,
+     _FERMION_FLAGS + "--omega --alpha --beta --kappa\n"),
+    (["model", "fermion", "--alpha", "4", "--beta", "1", "--omega", "0.3", "--kappa", "5",
+      "--gamma", "2", *_OUT], 2, _FERMION_FLAGS + "--omega --alpha --beta --kappa --gamma\n"),
+    (["model", "fermion", "--alpha", "1", *_OUT], 2, _FERMION_FLAGS + "--alpha\n"),
+    (["model", "triangle"], 2, _usage_error(
+        "model", "argument name: invalid choice: 'triangle' (choose from 'dimer', 'fermion')")),
+    # model parameters that are not finite, or overflow or underflow the float range
+    *[(["model", *flags], 2, f"error: {message}\n") for flags, message in (
+        (["fermion", "--alpha", "nan", "--beta", "1", "--omega", "0.3"],
+         "alpha must be finite, got nan"),
+        (["dimer", "--omega", "1", "--alpha", "inf"], "alpha must be finite, got inf"),
+        (["dimer", "--omega", "1", "--alpha", "nan"], "alpha must be finite, got nan"),
+        (["dimer", "--kappa", "1", "--gamma", "nan"], "gamma must be finite, got nan"),
+        (["dimer", "--kappa", "inf", "--gamma", "0"], "kappa must be finite, got inf"),
+        (["dimer", "--kappa", "1e300", "--gamma", "0"],
+         "dimer parameters --kappa 1e+300 --gamma 0.0 overflow the float range"),
+        (["dimer", "--omega", "1", "--alpha", "1000", *_OUT],
+         "dimer parameters --omega 1.0 --alpha 1000.0 overflow the float range"),
+        (["fermion", "--alpha", "1e200", "--beta", "1e-200", "--omega", "0.3", *_OUT],
+         "fermion parameters --omega 0.3 --alpha 1e+200 --beta 1e-200 overflow the float range"),
+        (["fermion", "--alpha", "1e300", "--beta", "1e300", "--omega", "0.3", *_OUT],
+         "fermion parameters --omega 0.3 --alpha 1e+300 --beta 1e+300 overflow the float range"),
+        (["dimer", "--kappa", "1e-170", "--gamma", "0", *_OUT],
+         "dimer parameters --kappa 1e-170 --gamma 0.0 underflow the float range"),
+        (["dimer", "--kappa", "1e-200", "--gamma", "5e-201", *_OUT],
+         "dimer parameters --kappa 1e-200 --gamma 5e-201 underflow the float range"),
+        (["dimer", "--omega", "1e-320", "--alpha", "0.5", *_OUT],
+         "dimer parameters --omega 1e-320 --alpha 0.5 underflow the float range"),
+        # echoed exactly: rounded to 6 digits, gamma would read as kappa, the EP
+        (["dimer", "--kappa", "1e-150", "--gamma", "9.99999999e-151"],
+         "dimer parameters --kappa 1e-150 --gamma 9.99999999e-151 underflow the float range"))],
+    # scan
+    *[(argv, 2, f"error: {message}\n") for argv, message in (
+        (["scan", "--kappa", "-1", *_SCAN[3:], "--step", "0.5"],
+         "kappa must be positive and finite"),
+        (["scan", "--kappa", "inf", *_SCAN[3:], "--step", "0.5"],
+         "kappa must be positive and finite"),
+        ([*_SCAN, "--step", "nan"], "--step must be finite"),
+        ([*_SCAN[:4], "nan", "--gamma-max", "1", "--step", "0.5"], "--gamma-min must be finite"),
+        ([*_SCAN[:6], "inf", "--step", "0.5"], "--gamma-max must be finite"),
+        ([*_SCAN, "--step", "0"], "--step must be positive"),
+        # refused before numpy allocates anything: the grid would take 72.8 TiB
+        ([*_SCAN, "--step", "1e-13"],
+         "--step 1e-13 gives 10000000000001 grid points, too many to allocate"),
+        ([*_SCAN[:4], "2", "--gamma-max", "1", "--step", "0.5"],
+         "--gamma-max must be at least --gamma-min"),
+        ([*_SCAN[:6], "1e308", "--step", "1e308"],
+         "kappa and |gamma| must not exceed half the largest float"))],
+    (["scan", "--kappa", "1"], 2, _usage_error(
+        "scan", "the following arguments are required: --gamma-min, --gamma-max, --step")),
+    (["compat", "H.json"], 2,
+     _usage_error("compat", "the following arguments are required: h2")),
+    ([], 2, _usage_error("", "the following arguments are required: command")),
+    (["frobnicate"], 2, _usage_error(
+        "", "argument command: invalid choice: 'frobnicate' "
+            "(choose from 'hermitize', 'model', 'scan', 'compat')")),
     # help
-    (["--help"], 0),
-    *[([command, "--help"], 0) for command in ("hermitize", "model", "scan", "compat")],
+    (["--help"], 0, ""),
+    *[([command, "--help"], 0, "") for command in ("hermitize", "model", "scan", "compat")],
 ]
 
 
@@ -192,7 +327,7 @@ class Outcome:
     code: int
     stdout: bytes
     stderr: bytes
-    files: tuple  # ((relative path, bytes), ...) of every file the command wrote
+    files: tuple  # ((relative path, bytes or None for a directory), ...) of what it wrote
 
     def differences(self, other: Outcome) -> list[str]:
         return [name for name, a, b in zip(FIELDS, astuple(self), astuple(other)) if a != b]
@@ -214,9 +349,10 @@ def _run_one(tree: Path, argv: list, workdir: Path) -> Outcome:
     program = [str(ROOT / SWEEP)] if argv == [SWEEP] else ["-m", "quasiherm", *argv]
     proc = subprocess.run([sys.executable, *program], cwd=workdir,
                           env=_env(tree), capture_output=True, timeout=300)
-    files = {path.relative_to(workdir).as_posix(): path.read_bytes()
-             for path in workdir.rglob("*") if path.is_file()}
-    written = sorted(item for item in files.items() if inputs.get(item[0]) != item[1])
+    made = {path.relative_to(workdir).as_posix(): path.read_bytes() if path.is_file() else None
+            for path in workdir.rglob("*")}
+    written = sorted((name, data) for name, data in made.items()
+                     if name not in inputs or data != inputs[name])
     # a warning names its source file under the tree: both trees print one root
     stderr = proc.stderr.replace(os.fsencode(tree), b"<tree>")
     return Outcome(proc.returncode, proc.stdout, stderr, tuple(written))
@@ -226,7 +362,8 @@ def _check_import(tree: Path, workdir: Path) -> None:
     # the children must import the package of this tree, not an installed one
     workdir.mkdir()
     proc = subprocess.run([sys.executable, "-c", "import quasiherm; print(quasiherm.__file__)"],
-                          cwd=workdir, env=_env(tree), capture_output=True, text=True)
+                          cwd=workdir, env=_env(tree), capture_output=True, text=True,
+                          timeout=300)
     found = Path(proc.stdout.strip() or ".").resolve()
     if proc.returncode or not found.is_relative_to((tree / "src").resolve()):
         raise SystemExit(f"bytecheck: {tree} imports quasiherm from {found}: {proc.stderr}")
@@ -239,15 +376,10 @@ def run(trees: list) -> list:
         for t, tree in enumerate(trees):
             _check_import(Path(tree), base / f"import-{t}")
         tasks = [(Path(tree), argv, base / f"{t}-{i}")
-                 for t, tree in enumerate(trees) for i, (argv, _code) in enumerate(COMMANDS)]
+                 for t, tree in enumerate(trees) for i, (argv, *_listed) in enumerate(COMMANDS)]
         with ThreadPoolExecutor(max_workers=JOBS) as pool:
             outcomes = list(pool.map(lambda task: _run_one(*task), tasks))
     return [outcomes[t * len(COMMANDS):(t + 1) * len(COMMANDS)] for t in range(len(trees))]
-
-
-def unexpected_exits(outcomes: list) -> list:
-    """(argv, listed, got) for each command whose exit code is not the listed one."""
-    return [(argv, code, o.code) for (argv, code), o in zip(COMMANDS, outcomes) if o.code != code]
 
 
 def _name(argv: list) -> str:
@@ -265,12 +397,31 @@ def _changed_lines(base: bytes, ours: bytes) -> list[str]:
     return changed or ["(same lines; the bytes differ in line endings or the final newline)"]
 
 
-def compare(base: list, ours: list, label: str) -> int:
+def unexpected(outcomes: list) -> list[str]:
+    """One report per way an outcome breaks its row: an exit code other than the listed
+    one, a stderr other than the listed text (with its changed lines), or, for a listed
+    exit code of 2-6, bytes on stdout or a written file."""
+    reports = []
+    for (argv, code, stderr), o in zip(COMMANDS, outcomes):
+        name = _name(argv)
+        if o.code != code:
+            reports.append(f"exit code {o.code}, listed {code}: {name}")
+        if stderr is not None and o.stderr != stderr.encode():
+            changed = _changed_lines(stderr.encode(), o.stderr)
+            reports.append("\n  stderr ".join([f"stderr not the listed text: {name}", *changed]))
+        spilled = [field for field, out in (("stdout", o.stdout), ("files", o.files)) if out]
+        if 2 <= code <= 6 and spilled:
+            reports.append(f"listed exit code {code} with {' and '.join(spilled)}: {name}")
+    return reports
+
+
+def compare(base: list, ours: list, label: str, unexpected_count: int) -> int:
     """Print one line per entry, the changed lines of its differing streams and the
-    summary line; return the number of entries that differ."""
+    summary line, which also counts the unexpected outcomes; return the number of
+    entries that differ."""
     counts = dict.fromkeys(FIELDS, 0)
     differing = 0
-    for (argv, _code), a, b in zip(COMMANDS, base, ours):
+    for (argv, *_listed), a, b in zip(COMMANDS, base, ours):
         fields = a.differences(b)
         for field in fields:
             counts[field] += 1
@@ -283,7 +434,8 @@ def compare(base: list, ours: list, label: str) -> int:
             if len(changed) > SHOWN:
                 print(f"  {stream}: {len(changed) - SHOWN} more changed lines")
     detail = ", ".join(f"{field} {count}" for field, count in counts.items())
-    print(f"bytecheck: {differing} of {len(COMMANDS)} commands differ {label} ({detail})")
+    print(f"bytecheck: {differing} of {len(COMMANDS)} commands differ {label} ({detail}), "
+          f"{unexpected_count} unexpected outcomes")
     return differing
 
 
@@ -314,11 +466,11 @@ def main(argv=None) -> int:
     else:
         base, ours, sha = _worktree_run(args.against)
         label = f"against {sha}"
-    unexpected = unexpected_exits(ours)
-    for command, listed, got in unexpected:
-        print(f"exit code {got}, listed {listed}: {_name(command)}")
-    differing = compare(base, ours, label)
-    return 1 if differing or unexpected else 0
+    reports = unexpected(ours)
+    for report in reports:
+        print(report)
+    differing = compare(base, ours, label, len(reports))
+    return 1 if differing or reports else 0
 
 
 if __name__ == "__main__":
