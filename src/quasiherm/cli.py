@@ -6,6 +6,7 @@ import argparse
 import functools
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -49,6 +50,16 @@ _MODEL_FLAG_SETS = {
 # argparse wraps usage and help at the terminal's width less 2 (COLUMNS, 80 if
 # unset); a fixed width keeps every byte of them independent of the terminal.
 _FORMATTER = functools.partial(argparse.HelpFormatter, width=78)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and so each of its subparsers, that reads an argument
+    starting with a minus and then a digit, a point and a digit, inf or nan as a
+    value: argparse reads -1e-3, -1,2 and -inf as options otherwise."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.I)
 
 
 class _Once(argparse.Action):
@@ -182,7 +193,7 @@ def cmd_compat(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quasiherm",
         description="Dyson maps, physical metrics, and Hermitian avatars "
         "for quasi-Hermitian Hamiltonians.",
@@ -255,6 +266,11 @@ def main(argv=None) -> int:
     _pin_blas_threads()
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout, as `head` does: exit as a shell reports a
+        # SIGPIPE death, with fd 1 on devnull so the flush at exit stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except np.linalg.LinAlgError as exc:
         # A LAPACK failure is numerical, not malformed input, though
         # LinAlgError subclasses ValueError.

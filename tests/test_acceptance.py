@@ -10,14 +10,16 @@ import time
 import numpy as np
 import scipy.linalg
 
-from helpers import (
+from families import (
+    DIMER_H,
+    DIMER_THETA,
     dimer_hamiltonian,
     random_hermitian,
     random_k_diag,
     random_real_spectrum,
     random_unitary,
-    run_cli,
 )
+from helpers import run_cli
 from quasiherm import (
     DefectiveMatrix,
     FermionicParams,
@@ -198,8 +200,7 @@ def test_criterion_6_ep_localization():
 
 
 def test_criterion_7_theta_norm_conservation():
-    big_h = dimer_hamiltonian(1.25, 0.75)
-    theta = np.array([[1.25, -0.75j], [0.75j, 1.25]])
+    big_h, theta = DIMER_H, DIMER_THETA
     psi0 = np.array([1.0, 0.0])
     times = np.linspace(0.0, 10.0, 201)
     norms = evolve_norm_check(big_h, theta, psi0, times)
@@ -218,8 +219,7 @@ def test_criterion_7_theta_norm_conservation():
 
 
 def test_criterion_8_observables_and_compatibility():
-    big_h = dimer_hamiltonian(1.25, 0.75)
-    theta = np.array([[1.25, -0.75j], [0.75j, 1.25]])
+    big_h, theta = DIMER_H, DIMER_THETA
     metric = metric_from_theta(theta)
     rng = np.random.default_rng(0)
     worst_res = 0.0
@@ -248,7 +248,7 @@ def test_criterion_8_observables_and_compatibility():
 
 def test_criterion_9_cli_determinism_and_exit_codes(tmp_path):
     dimer_path = tmp_path / "dimer.json"
-    write_matrix_file(dimer_path, dimer_hamiltonian(1.25, 0.75))
+    write_matrix_file(dimer_path, DIMER_H)
     spiral_path = tmp_path / "spiral.json"
     write_matrix_file(spiral_path, np.array([[0.0, 1.0], [-1.0, 0.0]]))
     ep_path = tmp_path / "ep.json"

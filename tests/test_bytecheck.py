@@ -4,17 +4,10 @@ derived from LAPACK depends on its build and on the BLAS thread count."""
 import os
 import subprocess
 
-import pytest
-
-from helpers import load_tool
+import bytecheck
 
 
-@pytest.fixture(scope="module")
-def bytecheck():
-    return load_tool("bytecheck")
-
-
-def test_commands_give_their_exit_codes_and_repeat_their_bytes(bytecheck):
+def test_commands_give_their_exit_codes_and_repeat_their_bytes():
     first, second = bytecheck.run([bytecheck.ROOT, bytecheck.ROOT])
     assert bytecheck.unexpected(first) == []
     differing = [(argv, a.differences(b))
@@ -25,7 +18,7 @@ def test_commands_give_their_exit_codes_and_repeat_their_bytes(bytecheck):
     assert sweep.stdout.count(b"\n") == 1500
 
 
-def test_summary_counts_each_field(bytecheck, capsys, monkeypatch):
+def test_summary_counts_each_field(capsys, monkeypatch):
     monkeypatch.setattr(bytecheck, "COMMANDS", [(["scan"], 0, ""), (["model", "dimer"], 0, "")])
     same = bytecheck.Outcome(0, b"out", b"", ())
     other = bytecheck.Outcome(0, b"out\n", b"", (("out/theta.json", b"{}"),))
@@ -39,7 +32,7 @@ def test_summary_counts_each_field(bytecheck, capsys, monkeypatch):
     ]
 
 
-def test_outcomes_that_break_their_rows_are_reported_and_counted(bytecheck, capsys, monkeypatch):
+def test_outcomes_that_break_their_rows_are_reported_and_counted(capsys, monkeypatch):
     monkeypatch.setattr(bytecheck, "COMMANDS", [
         (["model", "dimer"], 2, "error: x\n"),
         (["scan"], 2, None),
@@ -73,7 +66,7 @@ def test_outcomes_that_break_their_rows_are_reported_and_counted(bytecheck, caps
     ]
 
 
-def test_differing_streams_list_their_changed_lines(bytecheck, capsys, monkeypatch):
+def test_differing_streams_list_their_changed_lines(capsys, monkeypatch):
     assert bytecheck.SHOWN > 2 * 1500  # a sweep whose every line changed is listed whole
     monkeypatch.setattr(bytecheck, "COMMANDS", [(["compat", "H1.json", "H2.json"], 0, "")])
     monkeypatch.setattr(bytecheck, "SHOWN", 3)
@@ -94,7 +87,7 @@ def test_differing_streams_list_their_changed_lines(bytecheck, capsys, monkeypat
     ]
 
 
-def test_stderr_names_no_tree_root(bytecheck, capsys, monkeypatch, tmp_path):
+def test_stderr_names_no_tree_root(capsys, monkeypatch, tmp_path):
     # a numpy warning names its source file under the tree whose src/ the child imports
     def run_in(tree, workdir, extra=b""):
         def fake_run(command, cwd, env, **kwargs):

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import DIMER_H, TIMEOUT, random_real_spectrum, run_cli
+from families import DIMER_H, conditioned_spectrum, random_real_spectrum
+from helpers import TIMEOUT, run_cli
 from quasiherm import DEFAULT_TOL, Metric, errors, hermitize, shared_metric
 from quasiherm.cli import _tolerances, build_parser, main
 from quasiherm.matfile import (
@@ -275,7 +276,7 @@ class TestHermitizeCommand:
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_non_finite_tolerance_exit(self, tmp_path, capsys, flag, value):
         path = write_h(tmp_path, "h.json", DIMER_H)
-        assert main(["hermitize", path, f"{flag}={value}"]) == 2
+        assert main(["hermitize", path, flag, value]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {flag} must be finite"]
@@ -403,6 +404,16 @@ class TestScanCommand:
         assert (proc.returncode, proc.stderr) == (0, "")
         rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
         assert [float(row[0]) for row in rows if row[3] == "true"] == flagged
+
+    def test_closed_stdout_exits_as_a_broken_pipe(self):
+        # 20001 rows fill the pipe before the reader closes it, as `| head -1` does; the exit
+        # code is the one a shell reports for `seq 1 1000000 | head -1`
+        argv = ["scan", "--kappa", "1", "--gamma-min", "-1", "--gamma-max", "1", "--step", "1e-4"]
+        with subprocess.Popen([sys.executable, "-m", "quasiherm", *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"gamma,min_gap,eigvec_cond,is_ep\n"
+            proc.stdout.close()
+            assert (proc.wait(timeout=TIMEOUT), proc.stderr.read()) == (141, b"")
 
 
 # A command line that parses, per subcommand, and every option each one declares.
@@ -554,9 +565,8 @@ class TestDeterminism:
     def test_unset_thread_count_prints_the_one_thread_bytes(self, tmp_path):
         # multithreaded zgeev at n = 256 changes the last digits with the thread
         # count, so these bytes match only if main pins BLAS to one thread
-        rng = np.random.default_rng(256)
-        s = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
-        path = write_h(tmp_path, "h.json", (s * np.linspace(-1.0, 1.0, 256)) @ np.linalg.inv(s))
+        h = conditioned_spectrum(np.random.default_rng(256), 256, 2.0)[0]
+        path = write_h(tmp_path, "h.json", h)
         blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
         unset = {k: v for k, v in os.environ.items() if k not in blas}
         runs = [run_cli("hermitize", path, env=env)

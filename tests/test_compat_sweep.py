@@ -1,13 +1,12 @@
 """tools/compat_sweep.py: a short list, printed the same way twice."""
 
-from helpers import load_tool
+import compat_sweep
 
 
 def test_lines_repeat_and_sharing_pairs_are_found_below_cond_1e3(capsys):
-    tool = load_tool("compat_sweep")
-    tool.main(["--seed", "18", "--count", "25"])
+    compat_sweep.main(["--seed", "18", "--count", "25"])
     first = capsys.readouterr().out.splitlines()
-    tool.main(["--seed", "18", "--count", "25"])
+    compat_sweep.main(["--seed", "18", "--count", "25"])
     assert capsys.readouterr().out.splitlines() == first
     rows = [line.split() for line in first]
     assert [int(row[0]) for row in rows] == list(range(25))

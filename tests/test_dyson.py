@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import DIMER_H, DIMER_THETA, random_k_diag, random_real_spectrum, random_unitary
+from families import DIMER_H, DIMER_THETA, capped_frame, random_k_diag, random_real_spectrum, random_unitary
 from quasiherm import (
     AvatarNotHermitian,
     ComplexSpectrum,
@@ -281,10 +281,7 @@ class TestBuildReport:
             avatar, report = build_report(h, system, dmap, metric_of(dmap))
             assert report.passed
             assert np.array_equal(avatar, hermitian_avatar(h, dmap))
-        while True:
-            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            if np.linalg.cond(g) <= 100.0:
-                break
+        g = capped_frame(rng, n, 100.0)
         wrong = DysonMap(omega=g, omega_inv=np.linalg.inv(g), family="I")
         with pytest.raises(AvatarNotHermitian):
             build_report(h, system, wrong, metric_of(wrong))

@@ -10,7 +10,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (
+from families import (
     DIMER_H,
     DIMER_THETA,
     dimer_hamiltonian,

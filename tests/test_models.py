@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from helpers import dimer_hamiltonian
+from families import dimer_hamiltonian
 from quasiherm import (
     SIGMA_X,
     SIGMA_Z,

@@ -8,16 +8,20 @@ import scipy.linalg
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from helpers import (
+from families import (
     DIMER_H,
     DIMER_THETA,
-    TIMEOUT,
+    conditioned_frame,
+    conditioned_spectrum,
     dimer_hamiltonian,
+    exact_metric,
+    metric_partner,
     random_hermitian,
     random_k_diag,
     random_real_spectrum,
-    random_unitary,
+    similar,
 )
+from helpers import TIMEOUT
 from quasiherm import (
     DysonMap,
     NotHermitian,
@@ -210,40 +214,34 @@ class TestSharedMetric:
             shared_metric(DIMER_H, np.eye(3))
 
 
-def _random_h(n, rng=None):
-    rng = np.random.default_rng(0) if rng is None else rng
-    return random_real_spectrum(rng, n, cond_cap=1e3)[0]
+def _partnered(n, seed):
+    """(H1, H2, Theta): H1 = S E S^-1 and H2 = S S† M share Theta = S^-† S^-1 alone."""
+    rng = np.random.default_rng(seed)
+    h1, _energies, s = random_real_spectrum(rng, n, cond_cap=1e3)
+    return h1, metric_partner(rng, s), exact_metric(s)
 
 
 def _sharing_pairs():
     for n in (8, 16):
-        h = _random_h(n)
+        h = random_real_spectrum(np.random.default_rng(0), n, cond_cap=1e3)[0]
         yield f"n{n}/h^2", h, h @ h
         yield f"n{n}/2h+h^3", h, 2.0 * h + h @ h @ h
-
-
-def _metric_partner(n, seed):
-    """(H1, H2, Theta): H1 = S E S^-1 from random_real_spectrum and H2 = S S† M for a
-    random Hermitian M share Theta = S^-† S^-1, and for a generic M no other metric."""
-    rng = np.random.default_rng(seed)
-    h1, _energies, s = random_real_spectrum(rng, n, cond_cap=1e3)
-    s_inv = np.linalg.inv(s)
-    return h1, s @ s.conj().T @ random_hermitian(rng, n), s_inv.conj().T @ s_inv
 
 
 def _unique_pairs():
     """Sharing pairs whose shared metric is unique: H2 does not commute with H1."""
     for n in (4, 8):
-        yield f"n{n}/SS^dagger.M", *_metric_partner(n, n)[:2]
+        yield f"n{n}/SS^dagger.M", *_partnered(n, n)[:2]
 
 
 def _independent_pairs():
     for n in (8, 16):
         rng = np.random.default_rng(0)
-        yield f"n{n}/independent", _random_h(n, rng), _random_h(n, rng)
+        h1, h2 = (random_real_spectrum(rng, n, cond_cap=1e3)[0] for _ in range(2))
+        yield f"n{n}/independent", h1, h2
     # the partner's S S† M built on an unrelated S: its metric does not serve H1
     for n in (4, 8):
-        yield f"n{n}/unrelated-SS^dagger.M", _metric_partner(n, n)[0], _metric_partner(n, n + 1)[1]
+        yield f"n{n}/unrelated-SS^dagger.M", _partnered(n, n)[0], _partnered(n, n + 1)[1]
 
 
 def _dimer_pairs():
@@ -254,19 +252,10 @@ def _dimer_pairs():
     yield "dimer/2h+h^3", other, 2.0 * other + other @ other @ other
 
 
-def _frame(n):
-    """Real similarity S = randn(n, n) + 3I from default_rng(1) and its inverse."""
-    s = np.random.default_rng(1).standard_normal((n, n)) + 3.0 * np.eye(n)
-    return s, np.linalg.inv(s)
-
-
-def _degenerate_pair(n):
-    # diag(0^{n/2}, 1^{n/2}) and diag(1, 1, 0^{n-2}) in one frame: both share
-    # S^-dagger S^-1, and neither spectrum is simple.
-    s, s_inv = _frame(n)
-    d1 = np.r_[np.zeros(n // 2), np.ones(n - n // 2)]
-    d2 = np.r_[1.0, 1.0, np.zeros(n - 2)]
-    return s @ np.diag(d1) @ s_inv, s @ np.diag(d2) @ s_inv
+def _in_one_frame(n, *diagonals):
+    """S D S^-1 for each diagonal D and one frame S: all share S^-dagger S^-1."""
+    s = conditioned_frame(np.random.default_rng(1), n, 10.0)
+    return [similar(s, d) for d in diagonals]
 
 
 def _reference_simple(h1, h2, tol=DEFAULT_TOL):
@@ -308,13 +297,11 @@ def _any_pair(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     h, _energies, s = random_real_spectrum(rng, n, cond_cap=1e3)
     if kind == "independent":
-        return h, _random_h(n, rng)
+        return h, random_real_spectrum(rng, n, cond_cap=1e3)[0]
     if kind == "2h+h^3":
         return h, 2.0 * h + h @ h @ h
     if kind == "frame":
-        s_inv = np.linalg.inv(s)
-        d1, d2 = (np.diag(rng.choice([0.0, 1.0, 2.0], n)) for _ in range(2))
-        return s @ d1 @ s_inv, s @ d2 @ s_inv
+        return tuple(similar(s, rng.choice([0.0, 1.0, 2.0], n)) for _ in range(2))
     if kind == "generic":  # real, so its spectrum is often complex
         return h, rng.standard_normal((n, n))
     if kind == "-3h":
@@ -352,7 +339,7 @@ class TestSharedMetricDecision:
 
     @pytest.mark.parametrize("n", [4, 8])
     def test_metric_partner_shares_one_metric(self, n):
-        h1, h2, theta = _metric_partner(n, n)
+        h1, h2, theta = _partnered(n, n)
         result = shared_metric(h1, h2)
         assert (result.status, result.solution_space_dim) == ("Found", 1)
         assert all(r <= DEFAULT_TOL.residual_rel for r in result.residuals)
@@ -387,10 +374,8 @@ class TestSharedMetricDecision:
 
     def test_combination_as_base(self):
         # Both spectra are degenerate; diag(1, 1, 2) + t diag(1, 2, 2) is simple.
-        _h, _e, s = random_real_spectrum(np.random.default_rng(0), 3, cond_cap=1e3)
-        s_inv = np.linalg.inv(s)
-        h1 = s @ np.diag([1.0, 1.0, 2.0]) @ s_inv
-        h2 = s @ np.diag([1.0, 2.0, 2.0]) @ s_inv
+        s = random_real_spectrum(np.random.default_rng(0), 3, cond_cap=1e3)[2]
+        h1, h2 = similar(s, [1.0, 1.0, 2.0]), similar(s, [1.0, 2.0, 2.0])
         result = shared_metric(h1, h2)
         assert result.status == "Found"
         assert result.solution_space_dim == 3
@@ -404,7 +389,7 @@ class TestSharedMetricDecision:
         _h, energies, s = random_real_spectrum(np.random.default_rng(0), 8, cond_cap=1e3)
         energies = energies.copy()
         energies[-1] = -energies[0] + 1e-6
-        h = s @ np.diag(energies) @ np.linalg.inv(s)
+        h = similar(s, energies)
         for pair in ((h @ h, h), (h, h @ h)):
             assert shared_metric(*pair).status == "Found"
 
@@ -412,10 +397,7 @@ class TestSharedMetricDecision:
         # cond(S) = 1e4: S^-dagger S^-1 serves h and 2h + h^3 to ~3e-11, inside
         # the 1e-10 gate, so the rank cutoff must keep the whole eigenbasis.
         n = 12
-        rng = np.random.default_rng(6)
-        s = (random_unitary(rng, n) * np.geomspace(1.0, 1e4, n)) @ random_unitary(rng, n)
-        energies = np.arange(n) * 0.7 + rng.uniform(0.0, 0.3, n)
-        h = s @ np.diag(energies - energies.mean()) @ np.linalg.inv(s)
+        h = conditioned_spectrum(np.random.default_rng(6), n, 1e4)[0]
         result = shared_metric(h, 2.0 * h + h @ h @ h)
         assert result.status == "Found"
         assert result.solution_space_dim == n
@@ -446,16 +428,17 @@ class TestSharedMetricDecision:
         h1, energies, s = random_real_spectrum(np.random.default_rng(0), n, cond_cap=1e3)
         m = np.diag(energies).astype(np.complex128)
         m[:2, :2] = block
-        h2 = s @ m @ np.linalg.inv(s)
+        h2 = similar(s, m)
         result = shared_metric(h1, h2)
         assert result.status == status
         assert result.solution_space_dim == n - 1
 
     @pytest.mark.parametrize("n,dim", [(16, 104), (24, 248)])
     def test_degenerate_pair_found(self, n, dim):
-        # Both spectra are degenerate and so is H1 + t H2, so the decision runs
-        # in the block eigenbasis of the combination: clusters of 2, n/2 - 2, n/2.
-        h1, h2 = _degenerate_pair(n)
+        # Neither diag(0^{n/2}, 1^{n/2}), diag(1, 1, 0^{n-2}) nor H1 + t H2 is simple: the
+        # decision runs in the block eigenbasis of the combination, clusters of 2, n/2 - 2, n/2.
+        h1, h2 = _in_one_frame(n, np.r_[np.zeros(n // 2), np.ones(n - n // 2)],
+                               np.r_[1.0, 1.0, np.zeros(n - 2)])
         result = shared_metric(h1, h2)
         assert result.status == "Found"
         assert result.solution_space_dim == dim
@@ -464,10 +447,7 @@ class TestSharedMetricDecision:
         assert result.theta.min_eigenvalue > 0
 
     def test_squared_partner_of_degenerate_pair_found(self):
-        n = 16
-        s, s_inv = _frame(n)
-        h2 = s @ np.diag(np.r_[np.ones(n - 2), 0.0, 0.0]) @ s_inv
-        h1 = s @ np.diag(np.r_[0.0, 0.0, np.ones(n - 2)]) @ s_inv
+        h1, h2 = _in_one_frame(16, np.r_[0.0, 0.0, np.ones(14)], np.r_[np.ones(14), 0.0, 0.0])
         result = shared_metric(h1, h2 @ h2)
         assert result.status == "Found"
         assert quasi_hermiticity_residual(h1, result.theta) <= 1e-10
@@ -506,7 +486,7 @@ class TestSharedMetricDecision:
         coefficients=st.lists(st.floats(0.5, 2.0) | st.floats(-2.0, -0.5), min_size=1, max_size=4),
     )
     def test_polynomial_partners_found(self, seed, n, coefficients):
-        h = _random_h(n, np.random.default_rng(seed))
+        h = random_real_spectrum(np.random.default_rng(seed), n, cond_cap=1e3)[0]
         p = sum(c * np.linalg.matrix_power(h, k) for k, c in enumerate(coefficients))
         assert shared_metric(h, p).status == "Found"
         assert shared_metric(p, h).status == "Found"
@@ -529,8 +509,7 @@ class TestSharedMetricDecision:
     @given(_shared_frame())
     def test_shared_frame_pairs_found(self, frame):
         s, d1, d2 = frame
-        s_inv = np.linalg.inv(s)
-        h1, h2 = s @ d1 @ s_inv, s @ d2 @ s_inv
+        h1, h2 = similar(s, d1), similar(s, d2)
         assert shared_metric(h1, h2).status == "Found"
         assert shared_metric(h2, h1).status == "Found"
 

@@ -10,11 +10,11 @@ Every entry runs in a fresh directory that holds only the input files it
 names, with ``OPENBLAS_NUM_THREADS=1`` and the tree's ``src/`` first on
 ``PYTHONPATH``: ``python -m quasiherm`` with the listed arguments or, for one
 entry, the working tree's ``tools/compat_sweep.py`` at its defaults.  The
-inputs are written once by this script from fixed seeds with numpy, so both
-sides of a comparison read the same bytes.  In stderr the tree's root reads
-``<tree>``, so a warning that names its source file reads alike in both.
-``--against`` checks REV out into a temporary ``git worktree`` and removes it
-afterwards.
+inputs are written once by this script, the dense ones drawn from fixed
+seeds by ``tools/families.py``, so both sides of a comparison read the same
+bytes.  In stderr the tree's root reads ``<tree>``, so a warning that names
+its source file reads alike in both.  ``--against`` checks REV out into a
+temporary ``git worktree`` and removes it afterwards.
 
 Each row of ``COMMANDS`` lists what its command line must do: the exit code,
 and the exact stderr where no LAPACK result prints in it.  A row whose exit
@@ -46,6 +46,8 @@ from pathlib import Path
 
 import numpy as np
 
+from families import DIMER_H, conditioned_spectrum, dimer_hamiltonian, metric_partner
+
 ROOT = Path(__file__).resolve().parents[1]
 FIELDS = ("exit code", "stdout", "stderr", "files")
 JOBS = 2  # commands run at once, each child at one BLAS thread
@@ -59,47 +61,31 @@ def _matrix(m) -> bytes:
     return json.dumps({"rows": a.shape[0], "cols": a.shape[1], "data": data}).encode()
 
 
-def _frame(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(S, E): distinct real E and S = I + G with ||G||_2 about 0.6."""
+def _partnered(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(H, S S† M) from default_rng(seed): H = S diag(E) S^-1 with cond(S) = 2, and a
+    partner that shares S^-† S^-1 with H and, M being generic, no other metric."""
     rng = np.random.default_rng(seed)
-    energies = np.arange(n) - (n - 1) / 2 + rng.uniform(0.0, 0.3, n)
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return np.eye(n) + 0.2 / np.sqrt(n) * g, energies
+    h, _energies, s = conditioned_spectrum(rng, n, 2.0)
+    return h, metric_partner(rng, s)
 
-
-def _real_spectrum(n: int, seed: int) -> np.ndarray:
-    """A dense H = S diag(E) S^-1 from _frame(n, seed)."""
-    s, energies = _frame(n, seed)
-    return (s * energies) @ np.linalg.inv(s)
-
-
-def _metric_partner(n: int, seed: int) -> np.ndarray:
-    """S S† M for the S of _frame(n, seed) and a Hermitian M from default_rng(0): it
-    shares S^-† S^-1 with _real_spectrum(n, seed) and, M being generic, no other metric."""
-    g = np.random.default_rng(0).standard_normal((n, 2 * n)).view(complex)
-    s = _frame(n, seed)[0]
-    return s @ s.conj().T @ (g + g.conj().T)
-
-
-DIMER = np.array([[0.75j, 1.25], [1.25, -0.75j]])
 
 # Input file name -> a function giving its bytes.
 INPUTS = {
-    "H.json": lambda: _matrix(DIMER),
-    "H1.json": lambda: _matrix(DIMER),
-    "H2.json": lambda: _matrix(DIMER),
-    "H_squared.json": lambda: _matrix(DIMER @ DIMER),
+    "H.json": lambda: _matrix(DIMER_H),
+    "H1.json": lambda: _matrix(DIMER_H),
+    "H2.json": lambda: _matrix(DIMER_H),
+    "H_squared.json": lambda: _matrix(DIMER_H @ DIMER_H),
     # the dimer at its exceptional point kappa = gamma = 1
-    "ep.json": lambda: _matrix([[1j, 1], [1, -1j]]),
+    "ep.json": lambda: _matrix(dimer_hamiltonian(1.0, 1.0)),
     # the fermionic pairing model at alpha 4, beta 1, omega 0.3, in the occupation basis
     "fermion.json": lambda: _matrix([[0, 0, 0, 4], [0, 0.3, 0, 0], [0, 0, 0.7, 0], [1, 0, 0, 1]]),
-    "n8.json": lambda: _matrix(_real_spectrum(8, 8)),
+    "n8.json": lambda: _matrix(_partnered(8, 8)[0]),
     # 2h + h^3, which shares every metric of h
-    "n8_cubic.json": lambda: _matrix(2 * (h := _real_spectrum(8, 8)) + h @ h @ h),
+    "n8_cubic.json": lambda: _matrix(2 * (h := _partnered(8, 8)[0]) + h @ h @ h),
     # S S† M on n8.json's S, whose one shared metric with n8.json is S^-† S^-1, and on another S
-    "n8_partner.json": lambda: _matrix(_metric_partner(8, 8)),
-    "n8_stranger.json": lambda: _matrix(_metric_partner(8, 9)),
-    "n256.json": lambda: _matrix(_real_spectrum(256, 256)),
+    "n8_partner.json": lambda: _matrix(_partnered(8, 8)[1]),
+    "n8_stranger.json": lambda: _matrix(_partnered(8, 9)[1]),
+    "n256.json": lambda: _matrix(_partnered(256, 256)[0]),
     "sigma_z.json": lambda: _matrix([[1, 0], [0, -1]]),
     "big.json": lambda: _matrix([[1e300, 0], [0, 2e300]]),
     "eye3.json": lambda: _matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
@@ -197,6 +183,9 @@ COMMANDS = [
     # a partner that does not commute with n8.json: one shared metric, then none
     (["compat", "n8.json", "n8_partner.json"], 0, ""),
     (["compat", "n8.json", "n8_stranger.json"], 7, ""),
+    # negative values in exponent form and with a comma are values, not options
+    ([*_SCAN[:4], "-1e-3", "--gamma-max", "0.5", "--step", "0.25"], 0, ""),
+    (["hermitize", "H.json", "--k-diag", "-1,2"], 0, ""),
     # exit codes 1 and 3-8
     (["hermitize", "H.json", "--tol-reality", "1e-16"], 1, ""),
     # ||H|| ||Theta|| overflows: the residual prints as Infinity
@@ -240,11 +229,9 @@ COMMANDS = [
         ("1,inf", "k_diag entries must be finite"),
         ("abc,1", "complex() arg is a malformed string"),
         ("1,2,3", "k_diag has 3 entries for dimension 2"))],
-    (["hermitize", "H.json", "--tol-residual", "inf"], 2, "error: --tol-residual must be finite\n"),
-    (["hermitize", "H.json", "--tol-reality", "nan"], 2, "error: --tol-reality must be finite\n"),
-    # argparse reads -inf as an option, not as the value of --tol-positivity
-    (["hermitize", "H.json", "--tol-positivity", "-inf"], 2,
-     _usage_error("hermitize", "argument --tol-positivity: expected one argument")),
+    *[(["hermitize", "H.json", flag, value], 2, f"error: {flag} must be finite\n")
+      for flag, value in (("--tol-residual", "inf"), ("--tol-reality", "nan"),
+                          ("--tol-positivity", "-inf"))],
     (["hermitize", "H.json", "--frobnicate"], 2,
      _usage_error("", "unrecognized arguments: --frobnicate")),
     (["compat", "n8.json", "n8.json", "--seed", "3"], 2,

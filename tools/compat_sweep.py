@@ -2,8 +2,8 @@
 
     PYTHONPATH=src python tools/compat_sweep.py [--seed 18] [--count 1500]
 
-Pair i has n = 2-8 and h = S diag(E) S^-1 with cond(S) log-uniform over
-1e1-3e7.  Its partner is h^2 or 2h + h^3, which share every metric of h, or
+Pair i has n = 2-8 and h = S diag(E) S^-1 from tools/families.py's
+conditioned_spectrum, with cond(S) log-uniform over 1e1-3e7.  Its partner is h^2 or 2h + h^3, which share every metric of h, or
 an independent h' with the same cond(S), in the ratio 2:2:1.  Each line gives
 the index, the kind, n, cond(S), the status, solution_space_dim, the first 16
 hex digits of the SHA-256 of the metric's bytes (or "-"), and, for a sharing
@@ -21,6 +21,7 @@ import hashlib
 
 import numpy as np
 
+from families import conditioned_spectrum, exact_metric
 from quasiherm import (
     DEFAULT_TOL,
     NotPositiveDefinite,
@@ -32,39 +33,26 @@ from quasiherm import (
 KINDS = ("h^2", "h^2", "2h+h^3", "2h+h^3", "independent")
 
 
-def _unitary(rng, n):
-    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    d = np.diag(r)
-    return q * (d.conj() / np.abs(d))
-
-
-def _hamiltonian(rng, n, cond):
-    s = (_unitary(rng, n) * np.geomspace(1.0, cond, n)) @ _unitary(rng, n)
-    e = np.arange(n) * 0.7 + rng.uniform(0.0, 0.3, n)
-    return s @ np.diag(e - e.mean()) @ np.linalg.inv(s), s
-
-
 def pairs(seed: int, count: int):
     """(kind, n, cond(S), S, h1, h2) for each pair of the list."""
     rng = np.random.default_rng(seed)
     for i in range(count):
         n = int(rng.integers(2, 9))
         cond = 10.0 ** rng.uniform(1.0, np.log10(3e7))
-        h, s = _hamiltonian(rng, n, cond)
+        h, _energies, s = conditioned_spectrum(rng, n, cond)
         kind = KINDS[i % len(KINDS)]
         if kind == "h^2":
             partner = h @ h
         elif kind == "2h+h^3":
             partner = 2.0 * h + h @ h @ h
         else:
-            partner = _hamiltonian(rng, n, cond)[0]
+            partner = conditioned_spectrum(rng, n, cond)[0]
         yield kind, n, cond, s, h, partner
 
 
 def exact_metric_fails(s: np.ndarray, mats) -> str:
     """The gates that S^-dagger S^-1, scaled to trace n, fails."""
-    s_inv = np.linalg.inv(s)
-    theta = s_inv.conj().T @ s_inv
+    theta = exact_metric(s)
     theta = theta * (len(s) / np.trace(theta).real)
     failed = []
     if not all(quasi_hermiticity_residual(a, theta) <= DEFAULT_TOL.residual_rel for a in mats):
