@@ -64,10 +64,6 @@ class BiorthogonalSystem:
     right_kets: np.ndarray
     left_kets: np.ndarray
 
-    @property
-    def dimension(self) -> int:
-        return self.energies.size
-
 
 @dataclass(frozen=True)
 class DysonMap:
@@ -75,13 +71,11 @@ class DysonMap:
 
     family is "I", "K", or "KU" for the maps built here, and the model name
     ("dimer" or "fermion") for the closed-form maps of ``quasiherm model``.
-    u_matrix carries the unitary for the KU family.
     """
 
     omega: np.ndarray
     omega_inv: np.ndarray
     family: str
-    u_matrix: np.ndarray | None = None
 
     @property
     def dimension(self) -> int:
@@ -97,10 +91,6 @@ class Metric:
 
     theta: np.ndarray
     eigenvalues: np.ndarray
-
-    @property
-    def min_eigenvalue(self) -> float:
-        return float(self.eigenvalues[0])
 
 
 @dataclass(frozen=True)
@@ -172,12 +162,7 @@ def build_omega_KU(base: DysonMap, u, tol: Tolerances = DEFAULT_TOL) -> DysonMap
     residual = fro(um.conj().T @ um - eye)
     if not residual <= tol.residual_rel:
         raise NotUnitary(f"unitarity residual {residual:.3e} exceeds {tol.residual_rel:g}")
-    return DysonMap(
-        omega=um @ base.omega,
-        omega_inv=base.omega_inv @ um.conj().T,
-        family="KU",
-        u_matrix=um,
-    )
+    return DysonMap(omega=um @ base.omega, omega_inv=base.omega_inv @ um.conj().T, family="KU")
 
 
 def metric_from_theta(theta, tol: Tolerances = DEFAULT_TOL) -> Metric:

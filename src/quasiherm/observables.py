@@ -43,10 +43,9 @@ _MIX = (np.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class ObservableCandidate:
-    """Operator A = Theta^{-1} M together with its generator and residual."""
+    """Operator A = Theta^{-1} M together with its intertwining residual."""
 
     a_matrix: np.ndarray
-    m_matrix: np.ndarray
     residual: float
 
 
@@ -72,9 +71,7 @@ def observable_from_M(metric: Metric, m, tol: Tolerances = DEFAULT_TOL) -> Obser
     mm = _require_hermitian(as_square_matrix(m), tol.residual_rel, "generator M")
     _same_shape(mm, "M", metric.theta, "metric")
     a = np.linalg.solve(metric.theta, mm)
-    return ObservableCandidate(
-        a_matrix=a, m_matrix=mm, residual=quasi_hermiticity_residual(a, metric)
-    )
+    return ObservableCandidate(a_matrix=a, residual=quasi_hermiticity_residual(a, metric))
 
 
 def avatar_of_observable(a, dyson_map: DysonMap) -> np.ndarray:

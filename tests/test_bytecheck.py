@@ -15,7 +15,7 @@ def test_commands_give_their_exit_codes_and_repeat_their_bytes():
     assert differing == []
     # the compat sweep is one of the entries: shared_metric answers alike in two processes
     sweep = first[bytecheck.COMMANDS.index(([bytecheck.SWEEP], 0, ""))]
-    assert sweep.stdout.count(b"\n") == 1500
+    assert sweep.stdout.count(b"\n") == 2100
 
 
 def test_summary_counts_each_field(capsys, monkeypatch):
@@ -67,7 +67,7 @@ def test_outcomes_that_break_their_rows_are_reported_and_counted(capsys, monkeyp
 
 
 def test_differing_streams_list_their_changed_lines(capsys, monkeypatch):
-    assert bytecheck.SHOWN > 2 * 1500  # a sweep whose every line changed is listed whole
+    assert bytecheck.SHOWN > 2 * 2100  # a sweep whose every line changed is listed whole
     monkeypatch.setattr(bytecheck, "COMMANDS", [(["compat", "H1.json", "H2.json"], 0, "")])
     monkeypatch.setattr(bytecheck, "SHOWN", 3)
     base = bytecheck.Outcome(0, b"a\nb\nc\n", b"warning\nerror: x\n", ())

@@ -490,6 +490,7 @@ class TestNumericalFailure:
 class TestImports:
     def test_commands_do_not_import_scipy(self, tmp_path):
         path = write_h(tmp_path, "h.json", DIMER_H)
+        squared = write_h(tmp_path, "h2.json", DIMER_H @ DIMER_H)
         code = (
             "import contextlib, io, sys\n"
             "from quasiherm.cli import main\n"
@@ -497,6 +498,7 @@ class TestImports:
             f"    assert main(['hermitize', {path!r}]) == 0\n"
             "    assert main(['scan', '--kappa', '1', '--gamma-min', '0',"
             " '--gamma-max', '2', '--step', '0.25']) == 0\n"
+            f"    assert main(['compat', {path!r}, {squared!r}]) == 0\n"
             "print('scipy' in sys.modules)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -214,6 +214,9 @@ class TestBchConjugation:
         assert rx < 1e-12
         assert rz < 1e-12
 
+    def test_rapidities_from_minus_five_to_five(self):
+        assert max(max(bch_conjugation_check(a)) for a in np.linspace(-5.0, 5.0, 100)) <= 1e-12
+
 
 class TestEpScan:
     def test_locates_the_exceptional_point(self):

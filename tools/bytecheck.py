@@ -51,7 +51,7 @@ from families import DIMER_H, conditioned_spectrum, dimer_hamiltonian, metric_pa
 ROOT = Path(__file__).resolve().parents[1]
 FIELDS = ("exit code", "stdout", "stderr", "files")
 JOBS = 2  # commands run at once, each child at one BLAS thread
-SHOWN = 4000  # changed lines listed per stream: more than the 2 x 1500 of a changed sweep
+SHOWN = 5000  # changed lines listed per stream: more than the 2 x 2100 of a changed sweep
 SWEEP = "tools/compat_sweep.py"  # the one entry that runs a script, not the CLI
 
 
