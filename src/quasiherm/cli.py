@@ -11,13 +11,7 @@ import sys
 
 import numpy as np
 
-from .dyson import (
-    DysonMap,
-    build_report,
-    hermitize,
-    metric_from_theta,
-    solve_schrodinger_pair,
-)
+from .dyson import build_report, hermitize, metric_from_theta, solve_schrodinger_pair
 from .errors import QuasihermError
 from .linalg import DEFAULT_TOL, Tolerances
 from .matfile import (
@@ -39,12 +33,14 @@ from .observables import shared_metric
 
 __all__ = ["main"]
 
-# The model flags in --help order, and for each model the flag sets it accepts,
-# each with the constructor that takes those flags' values in that order.
+# The model flags in --help order, and for each model its builder and the flag
+# sets it accepts, each with the constructor that takes those flags' values in
+# that order.
 _MODEL_FLAGS = ("omega", "alpha", "beta", "kappa", "gamma")
 _MODEL_FLAG_SETS = {
-    "dimer": {("omega", "alpha"): dimer_params, ("kappa", "gamma"): dimer_from_coupling},
-    "fermion": {("alpha", "beta", "omega"): FermionicParams},
+    "dimer": (dimer_build, {("omega", "alpha"): dimer_params,
+                            ("kappa", "gamma"): dimer_from_coupling}),
+    "fermion": (fermionic_build, {("alpha", "beta", "omega"): FermionicParams}),
 }
 
 # argparse wraps usage and help at the terminal's width less 2 (COLUMNS, 80 if
@@ -86,8 +82,11 @@ def _add_tol_flags(sub: argparse.ArgumentParser) -> None:
 
 def _tolerances(args: argparse.Namespace) -> Tolerances:
     for flag in ("tol_residual", "tol_reality", "tol_positivity"):
-        if not math.isfinite(getattr(args, flag)):
-            raise ValueError(f"--{flag.replace('_', '-')} must be finite")
+        value, name = getattr(args, flag), f"--{flag.replace('_', '-')}"
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+        if not value > 0:
+            raise ValueError(f"{name} must be positive")
     return Tolerances(
         residual_rel=args.tol_residual,
         reality_rel=args.tol_reality,
@@ -114,7 +113,7 @@ def cmd_hermitize(args: argparse.Namespace) -> int:
 def cmd_model(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     given = [flag for flag in _MODEL_FLAGS if getattr(args, flag) is not None]
-    accepted = _MODEL_FLAG_SETS[args.name]
+    build, accepted = _MODEL_FLAG_SETS[args.name]
     chosen = next((flags for flags in accepted if set(flags) == set(given)), None)
     if chosen is None:
         sets = ", or ".join(" ".join(f"--{flag}" for flag in flags) for flags in accepted)
@@ -122,18 +121,13 @@ def cmd_model(args: argparse.Namespace) -> int:
         raise ValueError(f"{args.name} takes {sets}; given: {named}")
     try:
         p = accepted[chosen](*(getattr(args, flag) for flag in chosen))
-        if args.name == "dimer":
-            h_small, omega_map, big_h, theta = dimer_build(p)
-            omega_inv = np.linalg.inv(omega_map)
-        else:
-            big_h, h_small, omega_inv, omega_map, theta = fermionic_build(p)
+        big_h, h_small, dmap, theta = build(p)
     except ArithmeticError as exc:
         # OverflowError, or the models' FloatingPointError for an underflow
         limit = "underflow" if isinstance(exc, FloatingPointError) else "overflow"
         values = " ".join(f"--{flag} {getattr(args, flag)!r}" for flag in given)
         raise ValueError(f"{args.name} parameters {values} {limit} the float range") from None
 
-    dmap = DysonMap(omega=omega_map, omega_inv=omega_inv, family=args.name)
     system = solve_schrodinger_pair(big_h, tol)
     metric = metric_from_theta(theta, tol)
     avatar, report = build_report(big_h, system, dmap, metric, tol)
@@ -141,7 +135,7 @@ def cmd_model(args: argparse.Namespace) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     write_matrix_file(os.path.join(args.out_dir, "hamiltonian.json"), big_h)
     write_matrix_file(os.path.join(args.out_dir, "avatar.json"), h_small)
-    write_matrix_file(os.path.join(args.out_dir, "omega.json"), omega_map)
+    write_matrix_file(os.path.join(args.out_dir, "omega.json"), dmap.omega)
     write_matrix_file(os.path.join(args.out_dir, "theta.json"), theta)
     doc = emit_json(report_document(report, metric, avatar, tol))
     with open(os.path.join(args.out_dir, "report.json"), "w", encoding="utf-8") as fh:

@@ -69,8 +69,8 @@ class BiorthogonalSystem:
 class DysonMap:
     """An invertible map Omega together with its inverse and family tag.
 
-    family is "I", "K", or "KU" for the maps built here, and the model name
-    ("dimer" or "fermion") for the closed-form maps of ``quasiherm model``.
+    family is "I", "K", or "KU" for the maps built here, and "dimer" or
+    "fermion" for the closed-form maps of the models' builders.
     """
 
     omega: np.ndarray

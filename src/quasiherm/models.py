@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dyson import DysonMap
 from .errors import EPRegion, InvalidCoupling, SingularDysonMap
 from .linalg import DEFAULT_TOL, Tolerances, herm_exp
 
@@ -128,18 +129,19 @@ def dimer_from_coupling(kappa: float, gamma: float) -> DimerParams:
     )
 
 
-def dimer_build(p: DimerParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form (h, Omega, H, Theta) for the dimer.
+def dimer_build(p: DimerParams) -> tuple[np.ndarray, np.ndarray, DysonMap, np.ndarray]:
+    """Closed-form (H, h, map, Theta) for the dimer, the map's family "dimer".
 
     Omega = exp((alpha/2) sigma_y) is Hermitian positive definite, so
-    Theta = Omega^2 = cosh(alpha) I + sinh(alpha) sigma_y.
+    Theta = Omega^2 = cosh(alpha) I + sinh(alpha) sigma_y; its inverse is
+    np.linalg.inv of Omega.
     """
     eye = np.eye(2, dtype=np.complex128)
     h = p.omega * SIGMA_X
     omega_map = math.cosh(p.alpha / 2.0) * eye + math.sinh(p.alpha / 2.0) * SIGMA_Y
     big_h = p.kappa * SIGMA_X + 1j * p.gamma * SIGMA_Z
     theta = math.cosh(p.alpha) * eye + math.sinh(p.alpha) * SIGMA_Y
-    return h, omega_map, big_h, theta
+    return big_h, h, DysonMap(omega_map, np.linalg.inv(omega_map), "dimer"), theta
 
 
 def bch_conjugation_check(alpha: float) -> tuple[float, float]:
@@ -270,10 +272,8 @@ class FermionicParams:
         return 2.0 * self.alpha * self.beta - (self.alpha + self.beta) * self.sqrt_ab + 1.0
 
 
-def fermionic_build(
-    p: FermionicParams,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form (H, h, Omega_inv, Omega, Theta) in the occupation basis.
+def fermionic_build(p: FermionicParams) -> tuple[np.ndarray, np.ndarray, DysonMap, np.ndarray]:
+    """Closed-form (H, h, map, Theta) in the occupation basis, the map's family "fermion".
 
     Only the (|00>, |11>) block is nontrivial: H couples it through alpha and
     beta, h through sqrt(alpha beta), and Omega_inv deviates from the identity
@@ -316,7 +316,7 @@ def fermionic_build(
     theta[0, 3] = (be - al) / d**2
     theta[3, 0] = (be - al) / d**2
 
-    return big_h, h, omega_inv, omega_map, theta
+    return big_h, h, DysonMap(omega_map, omega_inv, "fermion"), theta
 
 
 def fermionic_from_fock(p: FermionicParams) -> np.ndarray:

@@ -51,8 +51,9 @@ LOG2 = np.log(2.0)
 def test_criterion_1_dimer_closed_forms():
     t0 = time.perf_counter()
     p = dimer_from_coupling(1.25, 0.75)
-    h, omega_map, big_h, theta = dimer_build(p)
-    avatar = omega_map @ big_h @ np.linalg.inv(omega_map)
+    big_h, h, dmap, theta = dimer_build(p)
+    omega_map = dmap.omega
+    avatar = omega_map @ big_h @ dmap.omega_inv
     gram = omega_map.conj().T @ omega_map
     elapsed = time.perf_counter() - t0
 
@@ -75,7 +76,7 @@ def test_criterion_1_dimer_closed_forms():
 
 def test_criterion_3_fermionic_reference_point():
     p = FermionicParams(alpha=4.0, beta=1.0, omega=0.3)
-    big_h, h, omega_inv, omega_map, theta = fermionic_build(p)
+    big_h, h, dmap, theta = fermionic_build(p)
     lo = (1.0 - np.sqrt(17.0)) / 2.0
     hi = (1.0 + np.sqrt(17.0)) / 2.0
     assert abs(p.det_D - (-1.0)) <= 1e-12
@@ -85,10 +86,10 @@ def test_criterion_3_fermionic_reference_point():
     assert abs(theta[0, 3] - (-3.0)) <= 1e-12
     assert abs(h[0, 3] - 2.0) <= 1e-12
     assert np.max(np.abs(np.linalg.eigvalsh(h) - np.array([lo, 0.3, 0.7, hi]))) <= 1e-12
-    assert np.max(np.abs(omega_map @ omega_inv - np.eye(4))) <= 1e-12
+    assert np.max(np.abs(dmap.omega @ dmap.omega_inv - np.eye(4))) <= 1e-12
     for a, b, w in [(4.0, 1.0, 0.3), (2.0, 0.5, 0.7), (-1.0, -2.0, 0.5), (0.3, 0.9, 0.6)]:
         q = FermionicParams(alpha=a, beta=b, omega=w)
-        built, *_rest = fermionic_build(q)
+        built, _h, _map, _theta = fermionic_build(q)
         assert np.max(np.abs(fermionic_from_fock(q) - built)) <= 1e-15
 
 

@@ -18,6 +18,14 @@ def test_commands_give_their_exit_codes_and_repeat_their_bytes():
     assert sweep.stdout.count(b"\n") == 2100
 
 
+def test_each_tree_runs_its_own_sweep(tmp_path):
+    tree = tmp_path / "tree"
+    (tree / "tools").mkdir(parents=True)
+    (tree / bytecheck.SWEEP).write_text('print("sweep of the other tree")\n')
+    sweep = bytecheck._run_one(tree, [bytecheck.SWEEP], tmp_path / "work")
+    assert (sweep.code, sweep.stdout, sweep.stderr) == (0, b"sweep of the other tree\n", b"")
+
+
 def test_summary_counts_each_field(capsys, monkeypatch):
     monkeypatch.setattr(bytecheck, "COMMANDS", [(["scan"], 0, ""), (["model", "dimer"], 0, "")])
     same = bytecheck.Outcome(0, b"out", b"", ())

@@ -45,21 +45,13 @@ from quasiherm.models import (
 from quasiherm.observables import avatar_of_observable, check_diagonal_center, observable_from_M
 
 LOG2 = np.log(2.0)
-DIMER_OMEGA = np.array(
-    [
-        [3.0 / (2.0 * np.sqrt(2.0)), -1j / (2.0 * np.sqrt(2.0))],
-        [1j / (2.0 * np.sqrt(2.0)), 3.0 / (2.0 * np.sqrt(2.0))],
-    ]
-)
-
-
-def closed_dimer_map():
-    return DysonMap(omega=DIMER_OMEGA, omega_inv=np.linalg.inv(DIMER_OMEGA), family="KU")
+# the closed-form map of the dimer whose H is DIMER_H
+DIMER_MAP = dimer_build(dimer_from_coupling(1.25, 0.75))[2]
 
 
 class TestSolveSchrodingerPair:
     def test_fermionic_energies(self):
-        big_h, _h, _oi, _o, _t = fermionic_build(FermionicParams(alpha=4.0, beta=1.0, omega=0.3))
+        big_h, _h, _map, _theta = fermionic_build(FermionicParams(alpha=4.0, beta=1.0, omega=0.3))
         system = solve_schrodinger_pair(big_h)
         lo = (1.0 - np.sqrt(17.0)) / 2.0
         hi = (1.0 + np.sqrt(17.0)) / 2.0
@@ -189,20 +181,19 @@ class TestMetric:
         assert np.allclose(scipy.linalg.sqrtm(metric.theta), np.eye(3))
         assert metric.eigenvalues[0] == pytest.approx(1.0)
 
-    def test_closed_dimer_map(self):
-        metric = metric_of(closed_dimer_map())
+    def test_dimer_build_map(self):
+        metric = metric_of(DIMER_MAP)
         assert np.linalg.norm(metric.theta - DIMER_THETA) < 1e-14
         assert np.allclose(np.linalg.eigvalsh(metric.theta), [0.5, 2.0], atol=1e-14)
 
     def test_fermionic_closed_map(self):
-        _bh, _h, _oi, omega, theta = fermionic_build(FermionicParams(alpha=4.0, beta=1.0, omega=0.3))
-        dmap = DysonMap(omega=omega, omega_inv=np.linalg.inv(omega), family="KU")
+        _bh, _h, dmap, theta = fermionic_build(FermionicParams(alpha=4.0, beta=1.0, omega=0.3))
         metric = metric_of(dmap)
         assert np.linalg.norm(metric.theta - theta) < 1e-12
         assert metric.eigenvalues[0] > 0
 
     def test_sqrt_consistency(self):
-        metric = metric_of(closed_dimer_map())
+        metric = metric_of(DIMER_MAP)
         root = scipy.linalg.sqrtm(metric.theta)
         assert np.linalg.norm(root @ root - metric.theta) < 1e-14
 
@@ -242,14 +233,13 @@ class TestMetric:
 
 
 class TestHermitianAvatar:
-    def test_closed_dimer_map_gives_sigma_x(self):
-        avatar = hermitian_avatar(DIMER_H, closed_dimer_map())
+    def test_dimer_build_map_gives_sigma_x(self):
+        avatar = hermitian_avatar(DIMER_H, DIMER_MAP)
         assert np.linalg.norm(avatar - np.array([[0.0, 1.0], [1.0, 0.0]])) < 1e-13
 
     def test_fermionic_closed_map(self):
         p = FermionicParams(alpha=4.0, beta=1.0, omega=0.3)
-        big_h, h, omega_inv, omega, _theta = fermionic_build(p)
-        dmap = DysonMap(omega=omega, omega_inv=omega_inv, family="KU")
+        big_h, h, dmap, _theta = fermionic_build(p)
         avatar = hermitian_avatar(big_h, dmap)
         assert np.linalg.norm(avatar - h) < 1e-12 * np.linalg.norm(h)
 
@@ -334,18 +324,18 @@ class TestQuasiHermiticityResidual:
         assert quasi_hermiticity_residual(h, theta) == math.inf
 
     def test_metric_object_accepted(self):
-        metric = metric_of(closed_dimer_map())
+        metric = metric_of(DIMER_MAP)
         assert quasi_hermiticity_residual(DIMER_H, metric) < 1e-14
 
 
 class TestHermitianDyson:
     def test_already_hermitian_map_fixed(self):
-        u, omega_herm = hermitian_dyson(closed_dimer_map())
+        u, omega_herm = hermitian_dyson(DIMER_MAP)
         assert np.linalg.norm(u - np.eye(2)) < 1e-13
-        assert np.linalg.norm(omega_herm - DIMER_OMEGA) < 1e-13
+        assert np.linalg.norm(omega_herm - DIMER_MAP.omega) < 1e-13
 
-    def test_closed_dimer_map_eigenvalues(self):
-        _u, omega_herm = hermitian_dyson(closed_dimer_map())
+    def test_dimer_build_map_eigenvalues(self):
+        _u, omega_herm = hermitian_dyson(DIMER_MAP)
         expected = np.sort([np.exp(-LOG2 / 2.0), np.exp(LOG2 / 2.0)])
         assert np.allclose(np.linalg.eigvalsh(omega_herm), expected, atol=1e-13)
 
@@ -360,10 +350,7 @@ class TestHermitianDyson:
         assert np.linalg.norm(omega_herm @ omega_herm - theta) < 1e-12 * np.linalg.norm(theta)
 
     def test_fermionic_map_squares_to_metric(self):
-        _bh, _h, omega_inv, omega, theta = fermionic_build(
-            FermionicParams(alpha=4.0, beta=1.0, omega=0.3)
-        )
-        dmap = DysonMap(omega=omega, omega_inv=omega_inv, family="KU")
+        _bh, _h, dmap, theta = fermionic_build(FermionicParams(alpha=4.0, beta=1.0, omega=0.3))
         _u, omega_herm = hermitian_dyson(dmap)
         assert np.linalg.norm(omega_herm @ omega_herm - theta) < 1e-12 * np.linalg.norm(theta)
 
@@ -478,7 +465,7 @@ class TestPhysInner:
         assert val == pytest.approx(-0.75j)
 
     def test_conjugate_symmetry(self, rng):
-        metric = metric_of(closed_dimer_map())
+        metric = metric_of(DIMER_MAP)
         psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         phi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         assert phys_inner(metric, psi, phi) == pytest.approx(
@@ -505,14 +492,14 @@ class TestInputDomains:
          "H has shape (2, 2) but the metric has shape (3, 3)"),
         (lambda: evolve_norm_check(DIMER_H, np.eye(3), [1.0, 0.0], [0.0]),
          "H has shape (2, 2) but the metric has shape (3, 3)"),
-        (lambda: hermitian_avatar(np.eye(3), closed_dimer_map()),
+        (lambda: hermitian_avatar(np.eye(3), DIMER_MAP),
          "H has shape (3, 3) but the map has shape (2, 2)"),
-        (lambda: build_report(np.eye(3), solve_schrodinger_pair(DIMER_H), closed_dimer_map(),
+        (lambda: build_report(np.eye(3), solve_schrodinger_pair(DIMER_H), DIMER_MAP,
                               metric_from_theta(DIMER_THETA)),
          "H has shape (3, 3) but the map has shape (2, 2)"),
         (lambda: observable_from_M(metric_from_theta(DIMER_THETA), np.eye(3)),
          "M has shape (3, 3) but the metric has shape (2, 2)"),
-        (lambda: avatar_of_observable(np.eye(3), closed_dimer_map()),
+        (lambda: avatar_of_observable(np.eye(3), DIMER_MAP),
          "A has shape (3, 3) but the map has shape (2, 2)"),
         (lambda: check_diagonal_center(np.eye(3), build_omega_I(solve_schrodinger_pair(DIMER_H))),
          "A has shape (3, 3) but the map has shape (2, 2)"),
@@ -549,7 +536,7 @@ class TestEvolveNormCheck:
     def test_defective_basis_raises(self):
         # gamma = 0.9 kappa: the eigenbasis condition is about 4.4, far above 1.0001
         p = dimer_from_coupling(1.0, 0.9)
-        _h, _omega, big_h, theta = dimer_build(p)
+        big_h, _h, _map, theta = dimer_build(p)
         assert evolve_norm_check(big_h, theta, [1.0, 0.0], [0.0, 1.0]).shape == (2,)
         tight = Tolerances(defective_cond=1.0001)
         with pytest.raises(DefectiveMatrix):
@@ -650,7 +637,7 @@ _NAN_GATES = {
     ),
     "polar_decompose singularity": (
         (np.linalg, "svd"), lambda a: (np.eye(len(a)), _nan_array(a), np.eye(len(a))),
-        lambda m: polar_decompose(DIMER_OMEGA), SingularInput,
+        lambda m: polar_decompose(DIMER_MAP.omega), SingularInput,
     ),
     "DimerParams kappa^2 - gamma^2 = omega^2": (
         (models, "abs"), _nan, lambda m: DimerParams(**_DIMER_PARAMS), ValueError,

@@ -164,30 +164,33 @@ class TestDimerParams:
 
 class TestDimerBuild:
     def test_zero_rapidity(self):
-        h, omega_map, big_h, theta = dimer_build(dimer_params(1.0, 0.0))
+        big_h, h, dmap, theta = dimer_build(dimer_params(1.0, 0.0))
         sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert dmap.family == "dimer"
         assert np.allclose(h, sx)
-        assert np.allclose(omega_map, np.eye(2))
+        assert np.allclose(dmap.omega, np.eye(2))
+        assert np.allclose(dmap.omega_inv, np.eye(2))
         assert np.allclose(big_h, sx)
         assert np.allclose(theta, np.eye(2))
 
     def test_log_two_rapidity(self):
-        h, omega_map, big_h, theta = dimer_build(dimer_params(1.0, LOG2))
+        big_h, h, dmap, theta = dimer_build(dimer_params(1.0, LOG2))
         assert np.linalg.norm(big_h - np.array([[0.75j, 1.25], [1.25, -0.75j]])) < 1e-14
         assert np.linalg.norm(theta - np.array([[1.25, -0.75j], [0.75j, 1.25]])) < 1e-14
         ch = 3.0 / (2.0 * np.sqrt(2.0))
         sh = 1.0 / (2.0 * np.sqrt(2.0))
-        assert np.linalg.norm(omega_map - np.array([[ch, -1j * sh], [1j * sh, ch]])) < 1e-14
+        assert np.linalg.norm(dmap.omega - np.array([[ch, -1j * sh], [1j * sh, ch]])) < 1e-14
         assert np.allclose(h, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     @pytest.mark.parametrize("omega", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("alpha", [-2.0, -0.5, 0.0, 1.0, 3.0])
     def test_mutual_consistency(self, omega, alpha):
         p = dimer_params(omega, alpha)
-        h, omega_map, big_h, theta = dimer_build(p)
+        big_h, h, dmap, theta = dimer_build(p)
+        omega_map = dmap.omega
         scale = np.linalg.norm(big_h)
-        inv = np.linalg.inv(omega_map)
-        assert np.linalg.norm(omega_map @ big_h @ inv - h) < 1e-12 * scale
+        assert np.linalg.norm(omega_map @ dmap.omega_inv - np.eye(2)) < 1e-13
+        assert np.linalg.norm(omega_map @ big_h @ dmap.omega_inv - h) < 1e-12 * scale
         assert np.linalg.norm(omega_map.conj().T @ omega_map - theta) < 1e-12 * np.linalg.norm(theta)
         assert np.allclose(
             np.linalg.eigvalsh(theta),
@@ -450,18 +453,19 @@ class TestFermionicParams:
 class TestFermionicBuild:
     def test_reference_point_entries(self):
         p = FermionicParams(alpha=4.0, beta=1.0, omega=0.3)
-        big_h, h, omega_inv, omega_map, theta = fermionic_build(p)
+        big_h, h, dmap, theta = fermionic_build(p)
+        assert dmap.family == "fermion"
         assert big_h[0, 3] == 4.0 and big_h[3, 0] == 1.0
         assert np.allclose(np.diag(big_h), [0.0, 0.3, 0.7, 1.0])
         assert h[0, 3] == 2.0 and h[3, 0] == 2.0
-        assert omega_inv[0, 3] == 2.0 and omega_inv[3, 0] == 1.0
+        assert dmap.omega_inv[0, 3] == 2.0 and dmap.omega_inv[3, 0] == 1.0
         assert np.allclose(np.diag(theta).real, [2.0, 1.0, 1.0, 5.0])
         assert theta[0, 3] == pytest.approx(-3.0)
         assert theta[3, 0] == pytest.approx(-3.0)
 
     def test_reference_point_energies(self):
         p = FermionicParams(alpha=4.0, beta=1.0, omega=0.3)
-        big_h, h, _oi, _o, _t = fermionic_build(p)
+        big_h, h, _map, _theta = fermionic_build(p)
         lo = (1.0 - math.sqrt(17.0)) / 2.0
         hi = (1.0 + math.sqrt(17.0)) / 2.0
         assert np.allclose(np.sort(np.linalg.eigvals(big_h).real), [lo, 0.3, 0.7, hi], atol=1e-12)
@@ -469,10 +473,10 @@ class TestFermionicBuild:
 
     def test_equal_couplings_collapse_to_hermitian(self):
         p = FermionicParams(alpha=1.5, beta=1.5, omega=0.25)
-        big_h, h, omega_inv, omega_map, theta = fermionic_build(p)
+        big_h, h, dmap, theta = fermionic_build(p)
         assert np.allclose(big_h, h)
-        assert np.allclose(omega_map, np.eye(4))
-        assert np.allclose(omega_inv, np.eye(4))
+        assert np.allclose(dmap.omega, np.eye(4))
+        assert np.allclose(dmap.omega_inv, np.eye(4))
         assert np.allclose(theta, np.eye(4))
 
     @pytest.mark.parametrize(
@@ -481,7 +485,8 @@ class TestFermionicBuild:
     )
     def test_mutual_consistency(self, alpha, beta, omega):
         p = FermionicParams(alpha=alpha, beta=beta, omega=omega)
-        big_h, h, omega_inv, omega_map, theta = fermionic_build(p)
+        big_h, h, dmap, theta = fermionic_build(p)
+        omega_map, omega_inv = dmap.omega, dmap.omega_inv
         assert np.linalg.norm(omega_map @ omega_inv - np.eye(4)) < 1e-13
         scale = np.linalg.norm(big_h)
         assert np.linalg.norm(omega_map @ big_h @ omega_inv - h) < 1e-12 * scale
@@ -498,7 +503,7 @@ class TestFermionicBuild:
 class TestFermionicFromFock:
     def test_matches_closed_form(self):
         p = FermionicParams(alpha=4.0, beta=1.0, omega=0.3)
-        big_h, _h, _oi, _o, _t = fermionic_build(p)
+        big_h, _h, _map, _theta = fermionic_build(p)
         assert np.max(np.abs(fermionic_from_fock(p) - big_h)) <= 1e-15
 
     @pytest.mark.parametrize(
@@ -507,7 +512,7 @@ class TestFermionicFromFock:
     )
     def test_matches_closed_form_grid(self, alpha, beta, omega):
         p = FermionicParams(alpha=alpha, beta=beta, omega=omega)
-        big_h, _h, _oi, _o, _t = fermionic_build(p)
+        big_h, _h, _map, _theta = fermionic_build(p)
         assert np.max(np.abs(fermionic_from_fock(p) - big_h)) <= 1e-15
 
     def test_operator_actions_on_basis_states(self):

@@ -13,6 +13,7 @@ from families import (
     conditioned_spectrum,
     dimer_hamiltonian,
     exact_metric,
+    exact_spectrum,
     metric_partner,
     random_hermitian,
     random_k_diag,
@@ -468,6 +469,17 @@ class TestSharedMetricDecision:
         p = sum(c * np.linalg.matrix_power(h, k) for k, c in enumerate(coefficients))
         assert shared_metric(h, p).status == "Found"
         assert shared_metric(p, h).status == "Found"
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8))
+    def test_exact_polynomial_partners_never_refused(self, seed, n):
+        # h, h^2 and 2h + h^3 are formed in integers, so they share S^-dagger S^-1 exactly
+        h, _energies, s = exact_spectrum(np.random.default_rng(seed), n)
+        for partner in (h @ h, 2 * h + h @ h @ h):
+            result = shared_metric(h, partner)
+            assert result.status != "NoSharedMetric"
+            if np.linalg.cond(s) < 1e3:
+                assert result.status == "Found"
+                assert max(result.residuals) <= 1e-10
 
     @given(_any_pair())
     def test_found_carries_the_residuals_it_passed(self, pair):

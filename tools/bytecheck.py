@@ -9,7 +9,7 @@ Run from anywhere in the repository:
 Every entry runs in a fresh directory that holds only the input files it
 names, with ``OPENBLAS_NUM_THREADS=1`` and the tree's ``src/`` first on
 ``PYTHONPATH``: ``python -m quasiherm`` with the listed arguments or, for one
-entry, the working tree's ``tools/compat_sweep.py`` at its defaults.  The
+entry, the tree's own ``tools/compat_sweep.py`` at its defaults.  The
 inputs are written once by this script, the dense ones drawn from fixed
 seeds by ``tools/families.py``, so both sides of a comparison read the same
 bytes.  In stderr the tree's root reads ``<tree>``, so a warning that names
@@ -46,7 +46,14 @@ from pathlib import Path
 
 import numpy as np
 
-from families import DIMER_H, conditioned_spectrum, dimer_hamiltonian, metric_partner
+from families import (
+    DIMER_H,
+    conditioned_frame,
+    conditioned_spectrum,
+    dimer_hamiltonian,
+    metric_partner,
+    similar,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 FIELDS = ("exit code", "stdout", "stderr", "files")
@@ -69,6 +76,11 @@ def _partnered(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return h, metric_partner(rng, s)
 
 
+def _degenerate(d) -> np.ndarray:
+    """S diag(d) S^-1 on one frame with cond(S) = 10: inputs that share S^-† S^-1."""
+    return similar(conditioned_frame(np.random.default_rng(4), 4, 10.0), d)
+
+
 # Input file name -> a function giving its bytes.
 INPUTS = {
     "H.json": lambda: _matrix(DIMER_H),
@@ -86,6 +98,9 @@ INPUTS = {
     "n8_partner.json": lambda: _matrix(_partnered(8, 8)[1]),
     "n8_stranger.json": lambda: _matrix(_partnered(8, 9)[1]),
     "n256.json": lambda: _matrix(_partnered(256, 256)[0]),
+    # spectra with a double eigenvalue: shared_metric works in clusters of eigenvectors
+    "deg1.json": lambda: _matrix(_degenerate([1, 1, 2, 3])),
+    "deg2.json": lambda: _matrix(_degenerate([0, 0, 1, 5])),
     "sigma_z.json": lambda: _matrix([[1, 0], [0, -1]]),
     "big.json": lambda: _matrix([[1e300, 0], [0, 2e300]]),
     "eye3.json": lambda: _matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
@@ -146,7 +161,7 @@ _FERMION_FLAGS = "error: fermion takes --alpha --beta --omega; given: "
 # (argv, listed exit code, listed stderr).  Every argument that names an INPUTS key is
 # an input file.  The stderr is listed where no LAPACK result prints in it, None elsewhere.
 COMMANDS = [
-    # shared_metric on the seeded pair list, from the working tree's script
+    # shared_metric on the seeded pair list, from each tree's own script
     ([SWEEP], 0, ""),
     # README
     (["hermitize", "H.json"], 0, ""),
@@ -183,6 +198,8 @@ COMMANDS = [
     # a partner that does not commute with n8.json: one shared metric, then none
     (["compat", "n8.json", "n8_partner.json"], 0, ""),
     (["compat", "n8.json", "n8_stranger.json"], 7, ""),
+    # no simple base: the decision runs in the block eigenbasis of 2 + 1 + 1 clusters
+    (["compat", "deg1.json", "deg2.json"], 0, ""),
     # negative values in exponent form and with a comma are values, not options
     ([*_SCAN[:4], "-1e-3", "--gamma-max", "0.5", "--step", "0.25"], 0, ""),
     (["hermitize", "H.json", "--k-diag", "-1,2"], 0, ""),
@@ -232,6 +249,10 @@ COMMANDS = [
     *[(["hermitize", "H.json", flag, value], 2, f"error: {flag} must be finite\n")
       for flag, value in (("--tol-residual", "inf"), ("--tol-reality", "nan"),
                           ("--tol-positivity", "-inf"))],
+    (["hermitize", "H.json", "--tol-residual", "0"], 2,
+     "error: --tol-residual must be positive\n"),
+    (["compat", "H.json", "H.json", "--tol-positivity", "-1"], 2,
+     "error: --tol-positivity must be positive\n"),
     (["hermitize", "H.json", "--frobnicate"], 2,
      _usage_error("", "unrecognized arguments: --frobnicate")),
     (["compat", "n8.json", "n8.json", "--seed", "3"], 2,
@@ -333,7 +354,7 @@ def _run_one(tree: Path, argv: list, workdir: Path) -> Outcome:
     inputs = {name: _input(name) for name in argv if name in INPUTS}
     for name, data in inputs.items():
         (workdir / name).write_bytes(data)
-    program = [str(ROOT / SWEEP)] if argv == [SWEEP] else ["-m", "quasiherm", *argv]
+    program = [str(tree / SWEEP)] if argv == [SWEEP] else ["-m", "quasiherm", *argv]
     proc = subprocess.run([sys.executable, *program], cwd=workdir,
                           env=_env(tree), capture_output=True, timeout=300)
     made = {path.relative_to(workdir).as_posix(): path.read_bytes() if path.is_file() else None

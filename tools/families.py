@@ -75,6 +75,32 @@ def conditioned_spectrum(rng, n, cond):
     return similar(s, energies), energies, s
 
 
+def _unit_triangular_inverse(t):
+    """t^-1 = I + N + ... + N^(n-1) for the nilpotent N = I - t, in integers."""
+    nilpotent = np.eye(len(t), dtype=np.int64) - t
+    inverse = term = np.eye(len(t), dtype=np.int64)
+    for _ in range(len(t) - 1):
+        term = term @ nilpotent
+        inverse = inverse + term
+    return inverse
+
+
+def unimodular_frame(rng, n):
+    """(S, S^-1) in int64: S = L U for unit-triangular L and U with entries in [-4, 4]
+    off the diagonal, so det S = 1 and S^-1 = U^-1 L^-1 has integer entries too."""
+    lower = np.tril(rng.integers(-4, 5, (n, n)), -1) + np.eye(n, dtype=np.int64)
+    upper = np.triu(rng.integers(-4, 5, (n, n)), 1) + np.eye(n, dtype=np.int64)
+    return lower @ upper, _unit_triangular_inverse(upper) @ _unit_triangular_inverse(lower)
+
+
+def exact_spectrum(rng, n):
+    """(H, energies, S) in int64: H = S diag(E) S^-1 on unimodular_frame(rng, n), formed
+    in integers, for n distinct increasing integer energies E in [-n, n]."""
+    s, s_inv = unimodular_frame(rng, n)
+    energies = np.sort(rng.choice(np.arange(-n, n + 1), n, replace=False))
+    return (s * energies) @ s_inv, energies, s
+
+
 def dimer_hamiltonian(kappa, gamma):
     return np.array([[1j * gamma, kappa], [kappa, -1j * gamma]], dtype=np.complex128)
 
